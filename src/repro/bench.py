@@ -417,10 +417,11 @@ def _bench_pdme_fusion(registry, quick: bool) -> dict:
     a per-report belief/plausibility snapshot, and an eager conservative-
     envelope recompute over the full prognostic history on every report.
     ``incremental`` is the live engine path
-    (:meth:`KnowledgeFusionEngine.ingest_batch`): bitmask masses with the
-    memoized combiner, memoized snapshots, and a lazy prognosis thunk
-    that the intake loop never forces.  Final fused states must agree
-    to 12 decimals before the timing is accepted.
+    (:meth:`KnowledgeFusionEngine.ingest_batch`): bitmask masses folded
+    by the incremental combiner, diagnoses pinned per ingest and
+    computed only when read, and a lazy prognosis thunk that the intake
+    loop never forces.  Final fused states must agree to 12 decimals
+    before the timing is accepted.
     """
     from repro.fusion.dempster_shafer import MassFunction, combine
     from repro.fusion.engine import KnowledgeFusionEngine

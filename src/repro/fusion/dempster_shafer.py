@@ -19,10 +19,7 @@ Two representations live here:
   bitmasks.  Set intersection is ``&``, subset is ``(a & ~b) == 0``,
   and :func:`combine_incremental` folds one new body of evidence into a
   running fused state without touching the report history.  This is the
-  PDME fusion hot path at fleet scale; a bounded memoized combination
-  cache short-circuits repeated (state, evidence) pairs, which recur
-  whenever fleets of identical machines emit the same discrete belief
-  levels.
+  PDME fusion hot path at fleet scale.
 """
 
 from __future__ import annotations
@@ -403,25 +400,13 @@ class BitMass:
         return f"BitMass({parts})"
 
 
-#: Bounded memo for (state, evidence) -> fused state.  Keys are the
-#: exact (frame id, focal items) of both operands; hits occur whenever
-#: an identical evidence sequence recurs — e.g. fleets of identical
-#: machines reporting the same discrete belief levels.
-_COMBINE_CACHE: dict[tuple, BitMass] = {}
-_COMBINE_CACHE_MAX = 4096
-
-
-def _cache_key(m: BitMass) -> tuple:
-    return (id(m.frame), tuple(sorted(m.masses.items())))
-
-
 def combine_incremental(prior: BitMass | None, evidence: BitMass) -> BitMass:
     """Fold one new body of evidence into a running fused state.
 
     Dempster's rule on bitmask dicts; with ``prior=None`` the evidence
     *is* the state.  The returned state carries the conflict K of this
-    combination in :attr:`BitMass.conflict_k`.  Results are memoized
-    (bounded) per (prior, evidence) value pair.
+    combination in :attr:`BitMass.conflict_k`.  Neither operand is
+    modified: the result is a new state, so a caller may keep the prior.
 
     Raises :class:`FusionError` on frame mismatch or total conflict —
     identical failure semantics to :func:`combine`.
@@ -430,10 +415,6 @@ def combine_incremental(prior: BitMass | None, evidence: BitMass) -> BitMass:
         return evidence
     if prior.frame is not evidence.frame:
         raise FusionError("cannot combine mass functions over different frames")
-    key = (_cache_key(prior), _cache_key(evidence))
-    cached = _COMBINE_CACHE.get(key)
-    if cached is not None:
-        return cached
     acc: dict[int, float] = {}
     k = 0.0
     for e1, v1 in prior.masses.items():
@@ -447,13 +428,9 @@ def combine_incremental(prior: BitMass | None, evidence: BitMass) -> BitMass:
     if k >= 1.0 - _EPS:
         raise FusionError("total conflict (K=1): evidence is contradictory")
     norm = 1.0 / (1.0 - k)
-    fused = BitMass(
+    return BitMass(
         prior.frame, {e: v * norm for e, v in acc.items()}, conflict_k=k
     )
-    if len(_COMBINE_CACHE) >= _COMBINE_CACHE_MAX:
-        _COMBINE_CACHE.clear()
-    _COMBINE_CACHE[key] = fused
-    return fused
 
 
 def combine_incremental_many(masses: Iterable[BitMass]) -> BitMass:

@@ -20,7 +20,6 @@ whole history through the frozenset oracle and certify the fast path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.common.errors import FusionError
@@ -37,9 +36,16 @@ from repro.fusion.groups import UNKNOWN, GroupRegistry, LogicalGroup
 from repro.protocol.report import FailurePredictionReport
 
 
-@dataclass(frozen=True)
 class FusedDiagnosis:
     """The fused state of one logical group on one sensed object.
+
+    The state is pinned at construction — the post-combine mass plus
+    its severity, count and conflict — and the per-condition views
+    (``beliefs``, ``plausibilities``, ``unknown``) are computed from
+    that mass on first read.  Most conclusions flowing through the PDME
+    are never inspected, and a diagnosis read long after its own ingest
+    still reports the state as of that ingest, because combination
+    builds a new mass rather than updating the pinned one.
 
     Attributes
     ----------
@@ -65,14 +71,89 @@ class FusedDiagnosis:
         reinforcing".
     """
 
-    sensed_object_id: ObjectId
-    group_name: str
-    beliefs: dict[ObjectId, float]
-    plausibilities: dict[ObjectId, float]
-    unknown: float
-    severity: float
-    report_count: int
-    conflict: float = 0.0
+    __slots__ = (
+        "sensed_object_id",
+        "group_name",
+        "severity",
+        "report_count",
+        "conflict",
+        "_mass",
+        "_conditions",
+        "_beliefs",
+        "_plausibilities",
+        "_unknown",
+    )
+
+    def __init__(
+        self,
+        sensed_object_id: ObjectId,
+        group: LogicalGroup,
+        mass: BitMass | MassFunction | None,
+        severity: float = 0.0,
+        report_count: int = 0,
+        conflict: float = 0.0,
+    ) -> None:
+        self.sensed_object_id = sensed_object_id
+        self.group_name = group.name
+        self.severity = severity
+        self.report_count = report_count
+        self.conflict = conflict
+        self._mass = mass
+        self._conditions = group.conditions
+        self._beliefs: dict[ObjectId, float] | None = None
+        self._plausibilities: dict[ObjectId, float] | None = None
+        self._unknown: float | None = None
+
+    @property
+    def beliefs(self) -> dict[ObjectId, float]:
+        if self._beliefs is None:
+            if self._mass is None:
+                self._beliefs = {c: 0.0 for c in self._conditions}
+            else:
+                self._beliefs = {c: self._mass.belief(c) for c in self._conditions}
+        return self._beliefs
+
+    @property
+    def plausibilities(self) -> dict[ObjectId, float]:
+        if self._plausibilities is None:
+            if self._mass is None:
+                self._plausibilities = {c: 1.0 for c in self._conditions}
+            else:
+                self._plausibilities = {
+                    c: self._mass.plausibility(c) for c in self._conditions
+                }
+        return self._plausibilities
+
+    @property
+    def unknown(self) -> float:
+        if self._unknown is None:
+            # "Unknown" per §5.6: explicit UNKNOWN support plus ignorance (Θ).
+            self._unknown = (
+                1.0 if self._mass is None else self._mass.plausibility(UNKNOWN)
+            )
+        return self._unknown
+
+    def _fields(self) -> tuple:
+        return (
+            self.sensed_object_id,
+            self.group_name,
+            self.beliefs,
+            self.plausibilities,
+            self.unknown,
+            self.severity,
+            self.report_count,
+            self.conflict,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FusedDiagnosis):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"FusedDiagnosis{self._fields()!r}"
 
     def ranked(self) -> list[tuple[ObjectId, float]]:
         """Conditions sorted by fused belief, strongest first."""
@@ -127,14 +208,10 @@ class DiagnosticFusion:
                 raise FusionError(
                     f"believability must be in [0, 1], got {alpha} for {source!r}"
                 )
-        self._state: dict[tuple[ObjectId, str], BitMass] = {}
-        self._severity: dict[tuple[ObjectId, str], float] = {}
-        self._counts: dict[tuple[ObjectId, str], int] = {}
-        self._last_conflict: dict[tuple[ObjectId, str], float] = {}
+        #: The pinned fused state per key; each ingest replaces it.
+        self._state: dict[tuple[ObjectId, str], FusedDiagnosis] = {}
         #: Retained discounted evidence per key — the oracle's input.
         self._history: dict[tuple[ObjectId, str], list[tuple[ObjectId, float]]] = {}
-        #: Snapshot memo, dropped per key on every ingest/reset.
-        self._snapshots: dict[tuple[ObjectId, str], FusedDiagnosis] = {}
         #: Monotone revision counter gating the suspects cache.
         self._revision = 0
         self._suspects_rev = -1
@@ -144,24 +221,29 @@ class DiagnosticFusion:
     def ingest(self, report: FailurePredictionReport) -> FusedDiagnosis:
         """Fuse one diagnostic report; returns the updated group state."""
         group = self._registry.group_of(report.machine_condition_id)
-        key = (report.sensed_object_id, group.name)
-        alpha = self._believability.get(report.knowledge_source_id, 1.0)
-        frame = bit_frame(group.frame)
+        obj = report.sensed_object_id
+        key = (obj, group.name)
+        belief = report.belief * self._believability.get(report.knowledge_source_id, 1.0)
         evidence = BitMass.simple_support(
-            frame, report.machine_condition_id, report.belief * alpha
+            bit_frame(group.frame), report.machine_condition_id, belief
         )
         prior = self._state.get(key)
-        fused = combine_incremental(prior, evidence)
-        self._last_conflict[key] = fused.conflict_k if prior is not None else 0.0
+        if prior is None:
+            fused = FusedDiagnosis(obj, group, evidence, max(0.0, report.severity), 1)
+        else:
+            mass = combine_incremental(prior._mass, evidence)
+            fused = FusedDiagnosis(
+                obj,
+                group,
+                mass,
+                max(prior.severity, report.severity),
+                prior.report_count + 1,
+                mass.conflict_k,
+            )
         self._state[key] = fused
-        self._severity[key] = max(self._severity.get(key, 0.0), report.severity)
-        self._counts[key] = self._counts.get(key, 0) + 1
-        self._history.setdefault(key, []).append(
-            (report.machine_condition_id, report.belief * alpha)
-        )
-        self._snapshots.pop(key, None)
+        self._history.setdefault(key, []).append((report.machine_condition_id, belief))
         self._revision += 1
-        return self._snapshot(report.sensed_object_id, group)
+        return fused
 
     def ingest_many(
         self, reports: Iterable[FailurePredictionReport]
@@ -170,33 +252,6 @@ class DiagnosticFusion:
         return [self.ingest(r) for r in reports]
 
     # -- queries -----------------------------------------------------------
-    def _snapshot(self, obj: ObjectId, group: LogicalGroup) -> FusedDiagnosis:
-        key = (obj, group.name)
-        mass = self._state.get(key)
-        if mass is None:
-            beliefs = {c: 0.0 for c in group.conditions}
-            plaus = {c: 1.0 for c in group.conditions}
-            return FusedDiagnosis(obj, group.name, beliefs, plaus, 1.0, 0.0, 0)
-        cached = self._snapshots.get(key)
-        if cached is not None:
-            return cached
-        beliefs = {c: mass.belief(c) for c in group.conditions}
-        plaus = {c: mass.plausibility(c) for c in group.conditions}
-        # "Unknown" per §5.6: explicit UNKNOWN support plus ignorance (Θ).
-        unknown = mass.plausibility(UNKNOWN)
-        snap = FusedDiagnosis(
-            obj,
-            group.name,
-            beliefs,
-            plaus,
-            unknown,
-            self._severity.get(key, 0.0),
-            self._counts.get(key, 0),
-            self._last_conflict.get(key, 0.0),
-        )
-        self._snapshots[key] = snap
-        return snap
-
     def _resolve_group(self, group_name: str) -> LogicalGroup:
         """Look up a registered group, reconstructing implicit
         catch-all singleton groups (named ``auto:<condition>``)."""
@@ -206,7 +261,10 @@ class DiagnosticFusion:
 
     def state(self, sensed_object_id: ObjectId, group_name: str) -> FusedDiagnosis:
         """Current fused state for an (object, group) pair."""
-        return self._snapshot(sensed_object_id, self._resolve_group(group_name))
+        fused = self._state.get((sensed_object_id, group_name))
+        if fused is None:
+            return FusedDiagnosis(sensed_object_id, self._resolve_group(group_name), None)
+        return fused
 
     def keys(self) -> list[tuple[ObjectId, str]]:
         """Every (object, group) pair with fused state, insertion order."""
@@ -214,11 +272,9 @@ class DiagnosticFusion:
 
     def states_for_object(self, sensed_object_id: ObjectId) -> list[FusedDiagnosis]:
         """All group states touched so far on one sensed object."""
-        out = []
-        for (obj, gname), _ in self._state.items():
-            if obj == sensed_object_id:
-                out.append(self._snapshot(obj, self._resolve_group(gname)))
-        return out
+        return [
+            fused for (obj, _), fused in self._state.items() if obj == sensed_object_id
+        ]
 
     def suspects(self, threshold: float = 0.5) -> list[tuple[ObjectId, ObjectId, float]]:
         """All (object, condition, belief) with fused belief ≥ threshold,
@@ -231,10 +287,9 @@ class DiagnosticFusion:
         """
         if self._suspects_rev != self._revision:
             found: list[tuple[ObjectId, ObjectId, float]] = []
-            for (obj, gname), mass in self._state.items():
-                group = self._resolve_group(gname)
-                for c in group.conditions:
-                    found.append((obj, c, mass.belief(c)))
+            for (obj, _), fused in self._state.items():
+                for c, belief in fused.beliefs.items():
+                    found.append((obj, c, belief))
             found.sort(key=lambda t: -t[2])
             self._suspects_all = found
             self._suspects_rev = self._revision
@@ -266,27 +321,14 @@ class DiagnosticFusion:
             else:
                 last_k = conflict(acc, evidence)
                 acc = combine(acc, evidence)
-        assert acc is not None
-        beliefs = {c: acc.belief(c) for c in group.conditions}
-        plaus = {c: acc.plausibility(c) for c in group.conditions}
+        live = self._state[key]
         return FusedDiagnosis(
-            sensed_object_id,
-            group.name,
-            beliefs,
-            plaus,
-            acc.plausibility(UNKNOWN),
-            self._severity.get(key, 0.0),
-            self._counts.get(key, 0),
-            last_k,
+            sensed_object_id, group, acc, live.severity, live.report_count, last_k
         )
 
     def reset(self, sensed_object_id: ObjectId, group_name: str) -> None:
         """Forget fused state for an (object, group) pair (maintenance
         performed; evidence no longer applies)."""
         self._state.pop((sensed_object_id, group_name), None)
-        self._severity.pop((sensed_object_id, group_name), None)
-        self._counts.pop((sensed_object_id, group_name), None)
-        self._last_conflict.pop((sensed_object_id, group_name), None)
         self._history.pop((sensed_object_id, group_name), None)
-        self._snapshots.pop((sensed_object_id, group_name), None)
         self._revision += 1

@@ -34,7 +34,11 @@ from repro.protocol.report import FailurePredictionReport
 
 @dataclass(frozen=True)
 class FusionConclusion:
-    """What KF posts after ingesting one report."""
+    """What KF posts after ingesting one report.
+
+    Both states are pinned as of this report's ingest and computed on
+    first read, so a conclusion nobody inspects costs no snapshot.
+    """
 
     report: FailurePredictionReport
     diagnosis: FusedDiagnosis | None

@@ -17,6 +17,7 @@ member standing for "a failure of this kind we have not enumerated".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from repro.common.errors import FusionError
@@ -52,9 +53,10 @@ class LogicalGroup:
         if UNKNOWN in self.conditions:
             raise FusionError(f"{UNKNOWN!r} is reserved and cannot be a condition id")
 
-    @property
+    @cached_property
     def frame(self) -> frozenset[ObjectId]:
-        """The D-S frame for this group: its conditions plus UNKNOWN."""
+        """The D-S frame for this group: its conditions plus UNKNOWN
+        (built on first use; every report on the group reuses it)."""
         return self.conditions | {UNKNOWN}
 
     def __contains__(self, condition: ObjectId) -> bool:

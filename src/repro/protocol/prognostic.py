@@ -12,6 +12,8 @@ later time can never be smaller.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -36,8 +38,12 @@ class PrognosticPoint:
     probability: float
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ProtocolError(f"prognostic time must be >= 0, got {self.time}")
+        # Chained comparisons are false for NaN, so these also reject
+        # every non-finite value.
+        if not 0.0 <= self.time < math.inf:
+            raise ProtocolError(
+                f"prognostic time must be finite and >= 0, got {self.time}"
+            )
         if not 0.0 <= self.probability <= 1.0:
             raise ProtocolError(
                 f"prognostic probability must be in [0, 1], got {self.probability}"
@@ -65,19 +71,39 @@ class PrognosticVector:
     __slots__ = ("_points", "_times", "_probs")
 
     def __init__(self, points: Iterable[PrognosticPoint]) -> None:
-        pts = sorted(points, key=lambda p: p.time)
-        times = np.array([p.time for p in pts], dtype=np.float64)
-        probs = np.array([p.probability for p in pts], dtype=np.float64)
-        if times.size:
-            if np.any(np.diff(times) <= 0):
-                raise ProtocolError(f"prognostic times must be strictly increasing: {times}")
-            if np.any(np.diff(probs) < 0):
-                raise ProtocolError(
-                    f"failure probabilities must be non-decreasing in time: {probs}"
-                )
-        self._points = tuple(pts)
-        self._times = times
-        self._probs = probs
+        pts = sorted(points, key=operator.attrgetter("time"))
+        times = [p.time for p in pts]
+        probs = [p.probability for p in pts]
+        if any(map(operator.ge, times, times[1:])):
+            raise ProtocolError(
+                "prognostic times must be strictly increasing: "
+                f"{np.array(times, dtype=np.float64)}"
+            )
+        if any(map(operator.gt, probs, probs[1:])):
+            raise ProtocolError(
+                "failure probabilities must be non-decreasing in time: "
+                f"{np.array(probs, dtype=np.float64)}"
+            )
+        self._set(tuple(pts), times, probs)
+
+    def _set(
+        self, points: tuple[PrognosticPoint, ...], times: list[float], probs: list[float]
+    ) -> None:
+        self._points = points
+        self._times = np.array(times, dtype=np.float64)
+        self._probs = np.array(probs, dtype=np.float64)
+
+    @classmethod
+    def _trusted(cls, pairs: list[tuple[float, float]]) -> "PrognosticVector":
+        """Build from pairs the caller guarantees are already valid:
+        strictly increasing times, non-decreasing probabilities."""
+        vec = cls.__new__(cls)
+        vec._set(
+            tuple(PrognosticPoint(t, p) for t, p in pairs),
+            [t for t, _ in pairs],
+            [p for _, p in pairs],
+        )
+        return vec
 
     # -- construction -------------------------------------------------
     @classmethod
@@ -207,7 +233,7 @@ class PrognosticVector:
         for t, pr in out:
             running = max(running, pr)
             mono.append((t, running))
-        return PrognosticVector.from_pairs(mono)
+        return PrognosticVector._trusted(mono)
 
     def to_pairs(self) -> list[tuple[float, float]]:
         """Plain ``[(time, probability), ...]`` list (wire form)."""

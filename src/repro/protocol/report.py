@@ -10,6 +10,7 @@ disjoint sensor readings" (§7.1).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from repro.common.errors import ProtocolError
@@ -80,12 +81,14 @@ class FailurePredictionReport:
         for name in ("knowledge_source_id", "sensed_object_id", "machine_condition_id"):
             if not getattr(self, name):
                 raise ProtocolError(f"report field {name} must be non-empty")
+        # Chained comparisons are false for NaN, so the three range
+        # checks also reject every non-finite value.
         if not 0.0 <= self.severity <= 1.0:
             raise ProtocolError(f"severity must be in [0, 1], got {self.severity}")
         if not 0.0 <= self.belief <= 1.0:
             raise ProtocolError(f"belief must be in [0, 1], got {self.belief}")
-        if self.timestamp < 0:
-            raise ProtocolError(f"timestamp must be >= 0, got {self.timestamp}")
+        if not 0.0 <= self.timestamp < math.inf:
+            raise ProtocolError(f"timestamp must be finite and >= 0, got {self.timestamp}")
         if not isinstance(self.prognostic, PrognosticVector):
             raise ProtocolError("prognostic must be a PrognosticVector")
 

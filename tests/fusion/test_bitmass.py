@@ -2,8 +2,8 @@
 
 The frozenset :class:`MassFunction` stays the readable reference; these
 tests pin the bitmask implementation's own contract — deterministic bit
-layout, converter round-trips, conflict bookkeeping, and the memoized
-combination cache.
+layout, converter round-trips, conflict bookkeeping, and combination
+that never modifies its operands.
 """
 
 import pytest
@@ -92,16 +92,21 @@ def test_combine_incremental_rejects_frame_mismatch():
         combine_incremental(e1, e2)
 
 
-def test_combine_incremental_memoization_returns_equal_results():
+def test_combine_incremental_leaves_operands_unchanged():
+    """Fused diagnoses pin the mass they were built from, so combining
+    must return a new state and leave both operands as they were."""
     frame = bit_frame(FRAME)
     e1 = BitMass.simple_support(frame, "a", 0.37)
     e2 = BitMass.simple_support(frame, "b", 0.41)
+    before = (dict(e1.masses), e1.conflict_k, dict(e2.masses), e2.conflict_k)
     first = combine_incremental(e1, e2)
+    assert first is not e1 and first is not e2
+    assert (dict(e1.masses), e1.conflict_k, dict(e2.masses), e2.conflict_k) == before
     again = combine_incremental(
         BitMass.simple_support(frame, "a", 0.37),
         BitMass.simple_support(frame, "b", 0.41),
     )
-    assert again.masses == first.masses  # cache hit or not: same answer
+    assert again.masses == first.masses
 
 
 def test_combine_incremental_many_folds_in_order():

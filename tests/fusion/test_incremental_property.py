@@ -18,7 +18,10 @@ from repro.fusion.dempster_shafer import (
     combine_incremental,
 )
 from repro.fusion.diagnostic import DiagnosticFusion
+from repro.fusion.engine import KnowledgeFusionEngine
 from repro.fusion.groups import default_chiller_groups
+from repro.obs.registry import MetricsRegistry
+from repro.protocol.report import FailurePredictionReport
 
 _GROUPS = default_chiller_groups()
 _ELECTRICAL = _GROUPS.get("electrical")
@@ -80,3 +83,67 @@ def test_combine_incremental_order_invariant_beliefs(stream):
     for c in _CONDITIONS:
         assert forward.belief(c) == pytest.approx(backward.belief(c), abs=1e-9)
     assert forward.unknown() == pytest.approx(backward.unknown(), abs=1e-9)
+
+
+# Any chiller condition plus one no group claims (an implicit ``auto:``
+# group), on a few objects, from a few sources of different trust.
+_ANY_CONDITION = st.sampled_from(
+    sorted(c for g in _GROUPS.groups() for c in g.conditions) + ["mc:novel"]
+)
+_report_streams = st.lists(
+    st.tuples(
+        st.sampled_from(["obj:a", "obj:b", "obj:c"]),
+        _ANY_CONDITION,
+        st.sampled_from(["ks:dli", "ks:wnn", "ks:fuzzy"]),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.01, max_value=0.9),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _diagnosis_fields(d):
+    return (
+        d.sensed_object_id,
+        d.group_name,
+        dict(d.beliefs),
+        dict(d.plausibilities),
+        d.unknown,
+        d.severity,
+        d.report_count,
+        d.conflict,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_report_streams)
+def test_diagnosis_read_late_equals_read_at_ingest(stream):
+    """A conclusion's diagnosis is pinned at its own ingest: reading it
+    after the whole stream has been fused gives, field for field, what
+    reading it right after its ingest gave."""
+
+    def engine():
+        return KnowledgeFusionEngine(
+            _GROUPS,
+            believability={"ks:dli": 1.0, "ks:wnn": 0.7, "ks:fuzzy": 0.4},
+            metrics=MetricsRegistry(),
+        )
+
+    reports = [
+        FailurePredictionReport(
+            knowledge_source_id=ks,
+            sensed_object_id=obj,
+            machine_condition_id=cond,
+            severity=severity,
+            belief=belief,
+            timestamp=float(i),
+        )
+        for i, (obj, cond, ks, severity, belief) in enumerate(stream)
+    ]
+    early_engine, late_engine = engine(), engine()
+    early = [
+        _diagnosis_fields(early_engine.ingest(r).diagnosis) for r in reports
+    ]
+    late = [late_engine.ingest(r) for r in reports]
+    assert [_diagnosis_fields(c.diagnosis) for c in late] == early

@@ -28,6 +28,14 @@ def test_point_rejects_probability_out_of_range():
         PrognosticPoint(1.0, -0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_point_rejects_non_finite(bad):
+    with pytest.raises(ProtocolError):
+        PrognosticPoint(bad, 0.5)
+    with pytest.raises(ProtocolError):
+        PrognosticPoint(1.0, bad)
+
+
 def test_vector_sorts_points_by_time():
     v = vec((10.0, 0.9), (5.0, 0.5))
     assert list(v.times) == [5.0, 10.0]
@@ -169,3 +177,43 @@ def test_shift_preserves_validity(v, dt):
     w = v.shifted(dt)
     assert np.all(np.diff(w.times) > 0) or len(w) <= 1
     assert np.all(np.diff(w.probabilities) >= 0) or len(w) <= 1
+    # shifted() skips re-validation; the validating constructor must
+    # accept what it built and rebuild the same vector.
+    assert w == PrognosticVector.from_pairs(w.to_pairs())
+
+
+def _numpy_rule(pairs):
+    """The vector-level rule as first written with numpy, kept as the
+    oracle: the error message for a rejected pair list, else None."""
+    pts = sorted(pairs, key=lambda p: p[0])
+    times = np.array([t for t, _ in pts], dtype=np.float64)
+    probs = np.array([p for _, p in pts], dtype=np.float64)
+    if times.size:
+        if np.any(np.diff(times) <= 0):
+            return f"prognostic times must be strictly increasing: {times}"
+        if np.any(np.diff(probs) < 0):
+            return f"failure probabilities must be non-decreasing in time: {probs}"
+    return None
+
+
+# Draw times from a few fixed values as well as freely, so duplicate
+# times (the rejection case) are common.
+_validator_times = st.sampled_from([0.0, 1.0, 2.5, 1e6]) | st.floats(
+    min_value=0.0, max_value=1e9
+)
+_validator_probs = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(
+    min_value=0.0, max_value=1.0
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_validator_times, _validator_probs), max_size=6))
+def test_validator_matches_numpy_rule(pairs):
+    want = _numpy_rule(pairs)
+    if want is None:
+        v = PrognosticVector.from_pairs(pairs)
+        assert v.to_pairs() == sorted(pairs, key=lambda p: p[0])
+    else:
+        with pytest.raises(ProtocolError) as exc:
+            PrognosticVector.from_pairs(pairs)
+        assert str(exc.value) == want

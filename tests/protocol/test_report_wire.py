@@ -1,3 +1,6 @@
+import json
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,3 +147,45 @@ def test_roundtrip_property(severity, belief, timestamp, text):
         prognostic=PrognosticVector.empty(),
     )
     assert from_json(to_json(r)) == r
+
+
+@st.composite
+def poisoned_payloads(draw):
+    """A valid wire payload with one numeric field made NaN or ±Inf."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    times = sorted(
+        draw(st.lists(st.floats(min_value=0.0, max_value=1e8),
+                      min_size=n, max_size=n, unique=True))
+    )
+    probs = sorted(
+        draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=n, max_size=n))
+    )
+    payload = encode_report(make_report(
+        severity=draw(st.floats(min_value=0.0, max_value=1.0)),
+        belief=draw(st.floats(min_value=0.0, max_value=1.0)),
+        timestamp=draw(st.floats(min_value=0.0, max_value=1e9)),
+        prognostic=PrognosticVector.from_pairs(list(zip(times, probs))),
+    ))
+    fields = ["severity", "belief", "timestamp"] + [
+        (i, j) for i in range(n) for j in (0, 1)
+    ]
+    target = draw(st.sampled_from(fields))
+    bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    if isinstance(target, str):
+        payload[target] = bad
+    else:
+        i, j = target
+        pair = list(payload["prognostic"][i])
+        pair[j] = bad
+        payload["prognostic"][i] = pair
+    return payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(poisoned_payloads())
+def test_decode_rejects_non_finite_numbers(payload):
+    with pytest.raises(ProtocolError):
+        decode_report(payload)
+    # json.dumps writes NaN/Infinity tokens, which json.loads accepts.
+    with pytest.raises(ProtocolError):
+        from_json(json.dumps(payload))
