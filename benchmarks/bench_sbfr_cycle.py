@@ -1,6 +1,6 @@
 """SBFR-CYCLE: "can cycle with a period of less than 4 milliseconds"
-for 100 parallel machines (§6.3), plus the interpreter-vs-vectorized
-execution ablation.
+for 100 parallel machines (§6.3), plus the interpreter and the
+vectorized watch grid the DCs run.
 """
 
 from benchmarks._util import mean_seconds, trimmed_median_seconds
@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from repro.sbfr import (
-
     SbfrSystem,
-    VectorizedAlarmBank,
+    SbfrWatchGrid,
     build_spike_machine,
     build_stiction_machine,
     level_alarm_machine,
@@ -56,26 +55,32 @@ def test_interpreter_alarm_bank_cycle(benchmark, n_machines):
     benchmark.extra_info["n_machines"] = n_machines
 
 
-@pytest.mark.parametrize("n_machines", [100, 400, 1600])
-def test_vectorized_alarm_bank_cycle(benchmark, n_machines):
-    """Vectorized bank running the same alarms: the ablation pair."""
-    bank = VectorizedAlarmBank(np.full(n_machines, 0.7), hold_cycles=2)
-    sample = np.random.default_rng(0).random(n_machines)
-    benchmark(bank.cycle, sample)
-    benchmark.extra_info["n_machines"] = n_machines
+@pytest.mark.parametrize("n_objects", [100, 400, 1600])
+def test_watch_grid_cycle(benchmark, n_objects):
+    """One watch-grid cycle: n objects x 5 level+counter watch pairs."""
+    grid = SbfrWatchGrid(np.full(5, 0.7), hold_cycles=2, repeat_count=3)
+    rows = np.array([grid.add_row() for _ in range(n_objects)])
+    values = np.random.default_rng(0).random((n_objects, 5))
+    present = np.ones((n_objects, 5), dtype=bool)
+    benchmark(grid.cycle_rows, rows, values, present)
+    benchmark.extra_info["n_objects"] = n_objects
+    benchmark.extra_info["n_machines"] = 2 * 5 * n_objects
 
 
-def test_vectorized_block_throughput(benchmark):
-    """Whole-block execution rate of the vectorized bank
-    (cycles x channels per second)."""
-    n_channels, n_cycles = 256, 512
-    bank = VectorizedAlarmBank(np.full(n_channels, 0.7), hold_cycles=2)
-    samples = np.random.default_rng(0).random((n_cycles, n_channels))
+def test_watch_grid_block_throughput(benchmark):
+    """Whole-block execution rate of the watch grid
+    (cycles x machines per second)."""
+    n_objects, n_watches, n_cycles = 256, 5, 512
+    grid = SbfrWatchGrid(np.full(n_watches, 0.7), hold_cycles=2, repeat_count=3)
+    rows = np.array([grid.add_row() for _ in range(n_objects)])
+    values = np.random.default_rng(0).random((n_cycles, n_objects, n_watches))
+    present = np.ones((n_objects, n_watches), dtype=bool)
 
     def run_block():
-        bank.reset()
-        bank.run(samples)
+        grid.reset()
+        for c in range(n_cycles):
+            grid.cycle_rows(rows, values[c], present)
 
     benchmark(run_block)
-    rate = n_channels * n_cycles / mean_seconds(benchmark)
+    rate = 2 * n_objects * n_watches * n_cycles / mean_seconds(benchmark)
     benchmark.extra_info["machine_cycles_per_s"] = f"{rate:,.0f}"

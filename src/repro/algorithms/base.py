@@ -43,10 +43,9 @@ class SourceContext:
         The data concentrator issuing the analysis.
     spectra:
         Optional precomputed spectral view over ``waveform`` (shared
-        with the other machines of the same scan when the DC runs in
-        batched mode).  Sources that need spectra should prefer it —
-        transforms are computed once per scan instead of once per
-        source per machine.
+        with the other machines of the same scan).  Sources that need
+        spectra should prefer it — transforms are computed once per
+        scan instead of once per source per machine.
     """
 
     sensed_object_id: ObjectId

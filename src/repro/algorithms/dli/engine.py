@@ -10,7 +10,7 @@ invoke it on every acquisition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.algorithms.base import SourceContext
 from repro.algorithms.dli.believability import ReversalDatabase
@@ -20,7 +20,7 @@ from repro.algorithms.dli.severity import prognostic_from_grade, score_to_grade
 from repro.common.errors import MprosError
 from repro.common.ids import ObjectId
 from repro.dsp.batch import SpectralView
-from repro.dsp.fft import averaged_spectrum
+from repro.dsp.fft import estimate_shaft_speed
 from repro.protocol.report import FailurePredictionReport
 
 
@@ -49,11 +49,6 @@ class DliExpertSystem:
     #: (±3 % search around nameplate).  Real machines drift with load;
     #: order-based rules mis-window without this.
     track_speed: bool = True
-    #: Share spectra across rule frames (and, via ``ctx.spectra``,
-    #: across all machines of a batched DC scan).  ``False`` restores
-    #: the legacy per-frame recomputation — kept as the honest baseline
-    #: for the benchmark harness, not for production use.
-    reuse_spectra: bool = True
 
     def __post_init__(self) -> None:
         if not self.rulebase:
@@ -64,36 +59,25 @@ class DliExpertSystem:
 
         Returns one report per fired rule.  Contexts without a waveform
         or kinematics produce no reports (DLI is vibration-only).
+        Spectra are shared across rule frames through one
+        :class:`SpectralView` — the scan-wide ``ctx.spectra`` when the
+        DC provides one, else a view built over the waveform here.
         """
         if ctx.waveform is None or ctx.kinematics is None:
             return []
         if ctx.sample_rate <= 0:
             raise MprosError("vibration context requires a positive sample_rate")
-        view: SpectralView | None = None
-        if self.reuse_spectra:
-            view = ctx.spectra
-            if view is None:
-                view = SpectralView.from_waveform(ctx.waveform, ctx.sample_rate)
-        if view is not None:
-            spec = view.averaged(self.n_averages)
-        else:
-            spec = averaged_spectrum(ctx.waveform, ctx.sample_rate, self.n_averages)
+        view = ctx.spectra
+        if view is None:
+            view = SpectralView.from_waveform(ctx.waveform, ctx.sample_rate)
+        spec = view.averaged(self.n_averages)
         kinematics = ctx.kinematics
         if self.track_speed:
-            from dataclasses import replace as _replace
-
-            from repro.dsp.fft import estimate_shaft_speed, spectrum as _full
-
-            hires = (
-                view.full()
-                if view is not None
-                else _full(ctx.waveform, ctx.sample_rate)
-            )
             actual = estimate_shaft_speed(
-                hires, kinematics.shaft_hz, search_pct=8.0
+                view.full(), kinematics.shaft_hz, search_pct=8.0
             )
             if actual != kinematics.shaft_hz:
-                kinematics = _replace(kinematics, shaft_hz=actual)
+                kinematics = replace(kinematics, shaft_hz=actual)
         reports: list[FailurePredictionReport] = []
         for frame in self.rulebase:
             result = frame.evaluate(

@@ -26,6 +26,7 @@ from repro.common.ids import ObjectId
 from repro.dc.acquisition import AcquisitionChain
 from repro.dc.database import DcDatabase
 from repro.dc.scheduler import EventScheduler
+from repro.dsp.batch import BatchSpectralCache
 from repro.hpc.pipeline import FeaturePipeline
 from repro.netsim.kernel import EventKernel
 from repro.obs.registry import MetricsRegistry, default_registry
@@ -66,14 +67,10 @@ class DataConcentrator:
         Knowledge sources to run; defaults to DLI + fuzzy + SBFR (the
         WNN source needs training first, so it is opt-in via
         :meth:`add_source`).
-    batch:
-        Run test routines in batched form: one gather of all machines'
-        blocks per scan, one shared spectral cache, and suites offered
-        the whole context list at once (``analyze_batch``).  Produces
-        the same reports in the same order as the scalar path (each
-        simulator still sees the identical draw sequence); ``False``
-        keeps the per-machine loop as an honest ablation baseline for
-        ``mpros bench``.
+
+    Test routines run in batched form: one gather of all machines'
+    blocks per scan, one shared spectral cache, and suites offered the
+    whole context list at once (``analyze_batch``).
     """
 
     def __init__(
@@ -85,7 +82,6 @@ class DataConcentrator:
         sample_rate: float = 16384.0,
         sources: list[KnowledgeSource] | None = None,
         metrics: MetricsRegistry | None = None,
-        batch: bool = True,
     ) -> None:
         self.dc_id = dc_id
         self.kernel = kernel
@@ -109,7 +105,6 @@ class DataConcentrator:
         )
         #: Injected instrumentation faults by acquisition channel.
         self._sensor_faults: dict[int, SensorFault] = {}
-        self.batch = batch
         self.machines: dict[ObjectId, MonitoredMachine] = {}
         #: Block-reduction pipelines keyed by (n_channels, block length)
         #: (the scalar indicators for every vibration test flow through
@@ -228,41 +223,6 @@ class DataConcentrator:
             if m.simulator.time < now:
                 m.simulator.step(now - m.simulator.time)
 
-    def _dispatch(
-        self, ctx: SourceContext, degraded: bool = False
-    ) -> list[FailurePredictionReport]:
-        """Run every suite on one context.
-
-        Suites are isolated from each other: one misbehaving algorithm
-        (§1.1 anticipates adding third-party suites) must not silence
-        the rest of the DC.  Failures are recorded in
-        :attr:`source_errors`.  With ``degraded=True`` (a quarantined
-        sensor forced a reduced-evidence analysis) every report is
-        flagged so downstream fusion knows the DC is reporting with
-        less than full instrumentation rather than going silent.
-        """
-        reports: list[FailurePredictionReport] = []
-        with self.tracer.span("dc.dispatch", dc=str(self.dc_id)):
-            for source in self.sources:
-                source_id = getattr(source, "knowledge_source_id", repr(source))
-                with self.tracer.span(f"suite.{source_id}"):
-                    try:
-                        reports.extend(source.analyze(ctx))
-                    except Exception as exc:  # noqa: BLE001 - isolation by design
-                        self.source_errors.append((source_id, exc))
-                        self._m_source_errors.inc()
-        if degraded:
-            reports = [replace(r, degraded=True) for r in reports]
-        for r in reports:
-            self.database.store_report(r)
-            self.sink(r)
-            self.reports_sent += 1
-            self._m_reports.inc()
-            if r.degraded:
-                self.reports_degraded += 1
-                self._m_degraded.inc()
-        return reports
-
     def _pipeline_for(self, n_samples: int, n_channels: int = 1) -> FeaturePipeline:
         """Reduction pipeline for this block geometry."""
         key = (n_channels, n_samples)
@@ -277,16 +237,23 @@ class DataConcentrator:
             self._pipelines[key] = pipe
         return pipe
 
-    def _dispatch_many(
+    def _dispatch(
         self, ctxs: list[SourceContext], degraded: list[bool]
     ) -> list[FailurePredictionReport]:
         """Run every suite across a whole scan's contexts at once.
 
-        Report order matches the scalar path exactly (machine-major,
-        source-minor); sources exposing ``analyze_batch`` get the full
-        context list in one call (isolated as a unit — a batch failure
-        silences only that suite for this scan), others fall back to a
-        per-context loop with per-context isolation.
+        Reports come out machine-major, source-minor.  Suites are
+        isolated from each other: one misbehaving algorithm (§1.1
+        anticipates adding third-party suites) must not silence the
+        rest of the DC, and failures are recorded in
+        :attr:`source_errors`.  Sources exposing ``analyze_batch`` get
+        the full context list in one call (isolated as a unit — a batch
+        failure silences only that suite for this scan), others run
+        per context with per-context isolation.  A context flagged
+        ``degraded`` (a quarantined sensor forced a reduced-evidence
+        analysis) has every report flagged, so downstream fusion knows
+        the DC is reporting with less than full instrumentation rather
+        than going silent.
         """
         per_ctx: list[list[FailurePredictionReport]] = [[] for _ in ctxs]
         with self.tracer.span("dc.dispatch", dc=str(self.dc_id)):
@@ -328,99 +295,36 @@ class DataConcentrator:
         suites; returns reports produced."""
         self._advance_simulators(now)
         self._m_vib_tests.inc()
-        if self.batch:
-            return self._run_vibration_tests_batched(now, n_samples)
-        produced = 0
-        pipe = self._pipeline_for(n_samples)
-        for m in self.machines.values():
-            if self.quarantine.is_quarantined(m.vibration_channel):
-                # Degraded mode: the accelerometer is quarantined, so
-                # its waveform is untrusted.  Run the process-variable
-                # suites only and flag every report instead of letting
-                # the machine drop off the PDME's radar.
-                process = m.simulator.sample_process().values
-                ctx = SourceContext(
-                    sensed_object_id=m.machine_id,
-                    timestamp=now,
-                    process=process,
-                    history=m.process_history[-16:],
-                    kinematics=m.kinematics,
-                    dc_id=self.dc_id,
-                )
-                produced += len(self._dispatch(ctx, degraded=True))
-                continue
-            wave = self._read_vibration(m, n_samples)
-            # Scalar indicators come from the block-reduction pipeline
-            # (same math as the ad-hoc rms/peak calls it replaced, but
-            # measured: hpc.pipeline.* now counts the DC's hot path).
-            summary = pipe.process(wave[np.newaxis, :])
-            self.database.store_measurements(
-                [
-                    (now, "rms", float(summary.rms[0]), m.vibration_channel, m.machine_id),
-                    (now, "peak", float(summary.peak[0]), m.vibration_channel, m.machine_id),
-                ]
-            )
-            process = m.simulator.sample_process().values
-            ctx = SourceContext(
-                sensed_object_id=m.machine_id,
-                timestamp=now,
-                waveform=wave,
-                sample_rate=self.acquisition.dsp.sample_rate,
-                process=process,
-                kinematics=m.kinematics,
-                history=m.process_history[-16:],
-                dc_id=self.dc_id,
-            )
-            produced += len(self._dispatch(ctx))
-        return produced
-
-    def _run_vibration_tests_batched(self, now: float, n_samples: int) -> int:
-        """One gathered acquisition pass, one stacked reduction, one
-        shared spectral cache, one suite dispatch over all machines."""
+        # One gathered acquisition pass, one stacked reduction, one
+        # shared spectral cache, one suite dispatch over all machines.
         ctxs: list[SourceContext] = []
         degraded: list[bool] = []
         live: list[tuple[int, MonitoredMachine, np.ndarray]] = []
         sample_rate = self.acquisition.dsp.sample_rate
         for m in self.machines.values():
-            if self.quarantine.is_quarantined(m.vibration_channel):
-                # Degraded mode: untrusted accelerometer, process-only
-                # context (same semantics as the scalar path).
-                process = m.simulator.sample_process().values
-                ctxs.append(
-                    SourceContext(
-                        sensed_object_id=m.machine_id,
-                        timestamp=now,
-                        process=process,
-                        history=m.process_history[-16:],
-                        kinematics=m.kinematics,
-                        dc_id=self.dc_id,
-                    )
-                )
-                degraded.append(True)
-                continue
-            # Per machine the draw order (vibration, then process) is
-            # identical to the scalar loop, so simulator streams match.
-            wave = self._read_vibration(m, n_samples)
+            # Degraded mode: a quarantined accelerometer's waveform is
+            # untrusted, so the machine gets a process-only context and
+            # flagged reports instead of dropping off the PDME's radar.
+            # Per machine the draw order is vibration, then process.
+            quarantined = self.quarantine.is_quarantined(m.vibration_channel)
+            wave = None if quarantined else self._read_vibration(m, n_samples)
             process = m.simulator.sample_process().values
-            live.append((len(ctxs), m, wave))
+            if wave is not None:
+                live.append((len(ctxs), m, wave))
             ctxs.append(
                 SourceContext(
                     sensed_object_id=m.machine_id,
                     timestamp=now,
                     waveform=wave,
-                    sample_rate=sample_rate,
+                    sample_rate=0.0 if wave is None else sample_rate,
                     process=process,
                     kinematics=m.kinematics,
                     history=m.process_history[-16:],
                     dc_id=self.dc_id,
                 )
             )
-            degraded.append(False)
+            degraded.append(quarantined)
         if live:
-            from dataclasses import replace as _replace
-
-            from repro.dsp.batch import BatchSpectralCache
-
             waves = np.stack([wave for _, _, wave in live])
             summary = self._pipeline_for(n_samples, len(live)).process(waves)
             measurements = []
@@ -434,15 +338,14 @@ class DataConcentrator:
             self.database.store_measurements(measurements)
             cache = BatchSpectralCache(waveforms=waves, sample_rate=sample_rate)
             for row, (pos, _, _) in enumerate(live):
-                ctxs[pos] = _replace(ctxs[pos], spectra=cache.view(row))
-        return len(self._dispatch_many(ctxs, degraded))
+                ctxs[pos] = replace(ctxs[pos], spectra=cache.view(row))
+        return len(self._dispatch(ctxs, degraded))
 
     def run_process_scan(self, now: float) -> int:
         """Sample process variables per machine and run the
         non-vibration suites; returns reports produced."""
         self._advance_simulators(now)
         self._m_scans.inc()
-        produced = 0
         ctxs: list[SourceContext] = []
         for m in self.machines.values():
             sample = m.simulator.sample_process()
@@ -455,21 +358,17 @@ class DataConcentrator:
                     for key, value in sample.values.items()
                 ]
             )
-            ctx = SourceContext(
-                sensed_object_id=m.machine_id,
-                timestamp=now,
-                process=sample.values,
-                history=m.process_history[-16:],
-                kinematics=m.kinematics,
-                dc_id=self.dc_id,
+            ctxs.append(
+                SourceContext(
+                    sensed_object_id=m.machine_id,
+                    timestamp=now,
+                    process=sample.values,
+                    history=m.process_history[-16:],
+                    kinematics=m.kinematics,
+                    dc_id=self.dc_id,
+                )
             )
-            if self.batch:
-                ctxs.append(ctx)
-            else:
-                produced += len(self._dispatch(ctx))
-        if self.batch:
-            produced = len(self._dispatch_many(ctxs, [False] * len(ctxs)))
-        return produced
+        return len(self._dispatch(ctxs, [False] * len(ctxs)))
 
     # -- remote control (§5.8, §6.3) -----------------------------------------
     def serve_on(self, endpoint) -> None:

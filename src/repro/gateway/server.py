@@ -24,7 +24,8 @@ Routes (all responses canonical JSON):
 ====================================  =========================================
 
 Errors render as ``{"error": ...}`` with 400 (gateway misuse: bad
-cursor, bad limit, malformed body) or 404 (unknown path or object).
+cursor, bad limit, malformed body or ``Content-Length``), 404 (unknown
+path or object) or 413 (a body over :data:`MAX_BODY_BYTES`).
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ from repro.common.errors import GatewayError, MprosError
 from repro.gateway.service import FleetGateway
 from repro.protocol.canonical import canonical_dumps
 from repro.protocol.wire import decode_report
+
+#: Largest ``POST`` body the server reads; longer ones are answered 413
+#: without reading them.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 class GatewayHTTPServer(ThreadingHTTPServer):
@@ -83,6 +88,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(400, str(exc))
         except _NotFound as exc:
             self._error(404, str(exc))
+        except _TooLarge as exc:
+            self._error(413, str(exc))
 
     # -- routing ----------------------------------------------------------
     def _route_get(self) -> str:
@@ -132,7 +139,16 @@ class _Handler(BaseHTTPRequestHandler):
         gw = self.server.gateway
         if urlparse(self.path).path != "/reports":
             raise _NotFound(f"no POST route for {self.path}")
-        length = int(self.headers.get("Content-Length", "0"))
+        raw_length = self.headers.get("Content-Length", "0")
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise GatewayError(
+                f"Content-Length {raw_length!r} is not a non-negative integer"
+            )
+        length = int(raw_length)
+        if length > MAX_BODY_BYTES:
+            raise _TooLarge(
+                f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
         try:
             body = json.loads(self.rfile.read(length) or b"{}")
             reports = [decode_report(item) for item in body["reports"]]
@@ -143,6 +159,10 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class _NotFound(Exception):
+    pass
+
+
+class _TooLarge(Exception):
     pass
 
 

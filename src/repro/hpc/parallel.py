@@ -104,11 +104,6 @@ class DcReplaySpec:
         fault, otherwise an exponential progression to ``fault_end``.
     fault_machine:
         Index of the machine carrying the fault.
-    batch:
-        Run the DC's batched hot path (False = scalar ablation).
-    reuse_spectra:
-        Let the DLI suite share per-scan spectra (False = legacy
-        per-frame recomputation; the honest pre-optimization baseline).
     """
 
     dc_index: int
@@ -124,8 +119,6 @@ class DcReplaySpec:
     fault_end: float | None = None
     fault_severity: float = 1.0
     fault_machine: int = 0
-    batch: bool = True
-    reuse_spectra: bool = True
 
     def machine_ids(self) -> tuple[str, ...]:
         """Sensed-object ids of this DC's machines, channel order."""
@@ -142,9 +135,6 @@ def replay_dc(spec: DcReplaySpec) -> list[FailurePredictionReport]:
     ``duration_s`` and collects every report the DC produces.
     """
     # Local imports keep worker start-up (and pickling surface) small.
-    from repro.algorithms.dli.engine import DliExpertSystem
-    from repro.algorithms.fuzzy.engine import FuzzyDiagnostics
-    from repro.algorithms.sbfr_source import SbfrKnowledgeSource
     from repro.common.rng import derive_rng, make_rng
     from repro.dc.concentrator import DataConcentrator
     from repro.netsim.kernel import EventKernel
@@ -165,13 +155,7 @@ def replay_dc(spec: DcReplaySpec) -> list[FailurePredictionReport]:
         sink=reports.append,
         rng=derive_rng(root, "dc", spec.dc_index),
         sample_rate=spec.sample_rate,
-        sources=[
-            DliExpertSystem(reuse_spectra=spec.reuse_spectra),
-            FuzzyDiagnostics(),
-            SbfrKnowledgeSource(),
-        ],
         metrics=metrics,
-        batch=spec.batch,
     )
     for j, machine_id in enumerate(spec.machine_ids()):
         sim = ChillerSimulator(

@@ -1,31 +1,15 @@
 """A minimal discrete-event simulation kernel.
 
 Time is simulated seconds on a :class:`~repro.common.clock.SimulatedClock`;
-events are (time, seq, callback) entries dispatched strictly in
-(time, seq) order.  Everything in the network simulation — link
-deliveries, RPC timeouts, DC test schedules — runs on one kernel so
+events are (time, seq, callback) entries in one binary heap, dispatched
+strictly in (time, seq) order.  Everything in the network simulation —
+link deliveries, RPC timeouts, DC test schedules — runs on one kernel so
 whole-system runs are deterministic.
-
-Two interchangeable schedulers back the kernel:
-
-* ``calendar`` (default) — a two-tier calendar (ladder) queue: the
-  current bucket-day is a small binary heap, every future day an
-  unsorted append-only list keyed by day number.  A push beyond the
-  current day is a plain list append (O(1)); a day's list is heapified
-  once, when the clock reaches it.  A single binary heap instead pays
-  O(log n) on *every* push, so the calendar pulls ahead as the pending
-  set grows (heartbeats and timeouts across a large fleet).
-* ``heap`` — the single binary heap, kept as the ablation baseline for
-  the ``kernel.dispatch`` bench stage.
-
-Both produce *identical* event orderings — the calendar queue always
-dispatches the global (time, seq) minimum, so golden-master traces are
-byte-identical across schedulers.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Callable
 
 from repro.common.clock import SimulatedClock
@@ -35,114 +19,6 @@ from repro.obs.registry import MetricsRegistry, default_registry
 _Entry = tuple[float, int, Callable[[], None]]
 
 
-class _BinaryHeapQueue:
-    """The classic single-heap scheduler (ablation baseline)."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: list[_Entry] = []
-
-    def push(self, entry: _Entry) -> None:
-        heapq.heappush(self._heap, entry)
-
-    def peek(self) -> _Entry | None:
-        return self._heap[0] if self._heap else None
-
-    def pop(self) -> _Entry:
-        return heapq.heappop(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
-_heappush = heapq.heappush
-_heappop = heapq.heappop
-_heapify = heapq.heapify
-
-
-class _CalendarQueue:
-    """A two-tier calendar (ladder) queue with exact (time, seq) order.
-
-    Entries whose bucket-day ``int(t // width)`` equals the current day
-    live in ``_near``, a binary heap.  Entries beyond it live in
-    ``_far``, a dict of day -> *unsorted* list, with the occupied day
-    numbers in the ``_days`` heap.  Pushing into the future is a plain
-    list append; a day's list is heapified exactly once, when the near
-    heap drains and the day becomes current.  Sorting work is therefore
-    paid per-day, not per-push.
-
-    Two invariants give heap-identical ordering: every ``_near`` entry
-    has day == ``_near_day``, and every ``_far`` entry has a strictly
-    greater day.  The near heap's head is then the global (time, seq)
-    minimum, so golden-master traces match the binary heap byte for
-    byte.  Both sides classify with the *same* ``int(t // width)``
-    expression, so float boundary cases cannot disagree.
-
-    A push *below* the current day (the clock jumped ahead of pending
-    work, then a callback scheduled close) retreats: the near heap is
-    stashed back into ``_far`` under its day and the earlier day takes
-    over as current.
-    """
-
-    __slots__ = ("_width", "_near", "_near_day", "_far", "_days", "_count")
-
-    def __init__(self, start: float = 0.0, width: float = 1.0) -> None:
-        self._width = width
-        self._near: list[_Entry] = []
-        self._near_day = int(start // width)
-        self._far: dict[int, list[_Entry]] = {}
-        self._days: list[int] = []
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def push(self, entry: _Entry) -> None:
-        day = int(entry[0] // self._width)
-        self._count += 1
-        if day > self._near_day:
-            try:
-                self._far[day].append(entry)
-            except KeyError:
-                self._far[day] = [entry]
-                _heappush(self._days, day)
-            return
-        if day < self._near_day:
-            # Retreat: current-day entries become a future day again.
-            if self._near:
-                self._far[self._near_day] = self._near
-                _heappush(self._days, self._near_day)
-            self._near = []
-            self._near_day = day
-        _heappush(self._near, entry)
-
-    def _advance(self) -> None:
-        """Promote the earliest occupied far day to the near heap."""
-        far = self._far
-        days = self._days
-        while not self._near and days:
-            day = _heappop(days)
-            bucket = far.pop(day, None)
-            if bucket:
-                _heapify(bucket)
-                self._near = bucket
-                self._near_day = day
-
-    def peek(self) -> _Entry | None:
-        if not self._near:
-            self._advance()
-        return self._near[0] if self._near else None
-
-    def pop(self) -> _Entry:
-        if self._count == 0:
-            raise IndexError("pop from an empty calendar queue")
-        if not self._near:
-            self._advance()
-        self._count -= 1
-        return _heappop(self._near)
-
-
 class EventKernel:
     """Priority-queue event loop over simulated time.
 
@@ -150,27 +26,18 @@ class EventKernel:
     ----------
     start:
         Initial simulated time.
-    scheduler:
-        ``"calendar"`` (default) or ``"heap"`` — identical semantics,
-        different cost profile; see the module docstring.
+    metrics:
+        Registry for the ``netsim.kernel.*`` counters; the process
+        default when omitted.
     """
 
     def __init__(
         self,
         start: float = 0.0,
         metrics: MetricsRegistry | None = None,
-        scheduler: str = "calendar",
     ) -> None:
         self.clock = SimulatedClock(start)
-        if scheduler == "calendar":
-            self._queue: _BinaryHeapQueue | _CalendarQueue = _CalendarQueue(start)
-        elif scheduler == "heap":
-            self._queue = _BinaryHeapQueue()
-        else:
-            raise SchedulingError(
-                f"unknown scheduler {scheduler!r}; use 'calendar' or 'heap'"
-            )
-        self.scheduler = scheduler
+        self._queue: list[_Entry] = []
         self._seq = 0
         self._cancelled: set[int] = set()
         reg = metrics if metrics is not None else default_registry()
@@ -188,7 +55,7 @@ class EventKernel:
         if delay < 0:
             raise SchedulingError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
-        self._queue.push((self.now() + delay, self._seq, callback))
+        heappush(self._queue, (self.now() + delay, self._seq, callback))
         self._m_scheduled.inc()
         self._m_pending.set(len(self._queue))
         return self._seq
@@ -208,14 +75,15 @@ class EventKernel:
 
     def step(self) -> bool:
         """Run the next event; returns False when the queue is empty."""
-        while len(self._queue):
-            t, seq, callback = self._queue.pop()
+        queue = self._queue
+        while queue:
+            t, seq, callback = heappop(queue)
             if seq in self._cancelled:
                 self._cancelled.discard(seq)
                 continue
             self.clock.advance_to(t)
             self._m_executed.inc()
-            self._m_pending.set(len(self._queue))
+            self._m_pending.set(len(queue))
             callback()
             return True
         self._m_pending.set(0)
@@ -227,20 +95,15 @@ class EventKernel:
         if t_end < self.now():
             raise SchedulingError(f"t_end {t_end} is in the past ({self.now()})")
         executed = 0
-        while True:
-            head = self._queue.peek()
-            if head is None:
-                break
-            t, seq, callback = head
-            if t > t_end:
-                break
-            self._queue.pop()
+        queue = self._queue
+        while queue and queue[0][0] <= t_end:
+            t, seq, callback = heappop(queue)
             if seq in self._cancelled:
                 self._cancelled.discard(seq)
                 continue
             self.clock.advance_to(t)
             self._m_executed.inc()
-            self._m_pending.set(len(self._queue))
+            self._m_pending.set(len(queue))
             callback()
             executed += 1
         self.clock.advance_to(t_end)
@@ -263,24 +126,18 @@ class EventKernel:
         if max_events < 1:
             raise SchedulingError(f"run_budgeted needs max_events >= 1, got {max_events}")
         executed = 0
-        while executed < max_events:
-            head = self._queue.peek()
-            if head is None:
-                break
-            t, seq, callback = head
-            if t > t_end:
-                break
-            self._queue.pop()
+        queue = self._queue
+        while executed < max_events and queue and queue[0][0] <= t_end:
+            t, seq, callback = heappop(queue)
             if seq in self._cancelled:
                 self._cancelled.discard(seq)
                 continue
             self.clock.advance_to(t)
             self._m_executed.inc()
-            self._m_pending.set(len(self._queue))
+            self._m_pending.set(len(queue))
             callback()
             executed += 1
-        head = self._queue.peek()
-        completed = head is None or head[0] > t_end
+        completed = not queue or queue[0][0] > t_end
         if completed:
             self.clock.advance_to(t_end)
         return executed, completed

@@ -59,15 +59,18 @@ def decode_report(payload: Mapping[str, Any]) -> FailurePredictionReport:
         prognostic = PrognosticVector.from_pairs(
             [(float(t), float(p)) for t, p in payload.get("prognostic", [])]
         )
+        severity = float(payload["severity"])
+        belief = float(payload["belief"])
+        timestamp = float(payload["timestamp"])
     except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed prognostic pairs: {exc}") from exc
+        raise ProtocolError(f"malformed numeric field: {exc}") from exc
     return FailurePredictionReport(
         knowledge_source_id=str(payload["knowledge_source_id"]),
         sensed_object_id=str(payload["sensed_object_id"]),
         machine_condition_id=str(payload["machine_condition_id"]),
-        severity=float(payload["severity"]),
-        belief=float(payload["belief"]),
-        timestamp=float(payload["timestamp"]),
+        severity=severity,
+        belief=belief,
+        timestamp=timestamp,
         dc_id=str(payload.get("dc_id", "")),
         explanation=str(payload.get("explanation", "")),
         recommendations=str(payload.get("recommendations", "")),

@@ -41,7 +41,6 @@ from repro.sbfr.library import (
     level_alarm_machine,
 )
 from repro.sbfr.batch import SbfrWatchGrid
-from repro.sbfr.vectorized import VectorizedAlarmBank
 
 __all__ = [
     "And",
@@ -71,5 +70,4 @@ __all__ = [
     "count_threshold_machine",
     "level_alarm_machine",
     "SbfrWatchGrid",
-    "VectorizedAlarmBank",
 ]

@@ -8,7 +8,7 @@ advances the whole fleet of pairs with a handful of numpy ops over
 ``(n_rows, n_watches)`` arrays — one row per sensed object.
 
 Semantics match the interpreter exactly (equivalence-tested in
-``tests/sbfr/test_batch_grid.py``): machines are conceptually ordered
+``tests/sbfr/test_batch_equivalence.py``): machines are conceptually ordered
 ``level_0, counter_0, level_1, counter_1, ...`` so each counter sees its
 level machine's *fresh* status within the same cycle, missing channels
 hold their previous value (§5.1 fragmentary-input tolerance), and the

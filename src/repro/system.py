@@ -183,7 +183,6 @@ def build_mpros_system(
     link: LinkConfig | None = None,
     heartbeat_period: float = 15.0,
     metrics: MetricsRegistry | None = None,
-    batch: bool = True,
     plant: str = "chiller",
 ) -> MprosSystem:
     """Assemble the Figure-1 system.
@@ -261,7 +260,6 @@ def build_mpros_system(
                 sink=uplink.submit,
                 rng=derive_rng(root, "dc", i),
                 metrics=metrics,
-                batch=batch,
                 sources=[
                     DliExpertSystem(),
                     FuzzyDiagnostics.for_turbine(),
@@ -280,7 +278,6 @@ def build_mpros_system(
                 sink=uplink.submit,
                 rng=derive_rng(root, "dc", i),
                 metrics=metrics,
-                batch=batch,
             )
             # Durable backlog: unacked reports survive a DC crash.
             uplink.bind_store(dc.database)
@@ -333,8 +330,6 @@ def build_fleet_specs(
     vibration_period: float = 600.0,
     process_period: float = 60.0,
     n_samples: int = 32768,
-    batch: bool = True,
-    reuse_spectra: bool = True,
     faulty_dcs: int = 1,
 ) -> list[DcReplaySpec]:
     """Specs for the standard fleet-scale scenario.
@@ -362,8 +357,6 @@ def build_fleet_specs(
                 fault_kind="MOTOR_IMBALANCE" if fault else None,
                 fault_onset=0.1 * duration,
                 fault_end=0.9 * duration if fault else None,
-                batch=batch,
-                reuse_spectra=reuse_spectra,
             )
         )
     return specs

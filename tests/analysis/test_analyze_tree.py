@@ -78,7 +78,7 @@ def test_injected_wall_clock_in_report_path_fires_with_chain(tree_sources):
     fft = "src/repro/dsp/fft.py"
     lines = tree_sources[fft].splitlines()
     idx = next(i for i, ln in enumerate(lines)
-               if ln.startswith("def spectrum("))
+               if ln.startswith("def estimate_shaft_speed("))
     while not lines[idx].rstrip().endswith(":"):
         idx += 1
     lines.insert(idx + 1, "    import time as _t; _t0 = _t.time()")
@@ -92,4 +92,4 @@ def test_injected_wall_clock_in_report_path_fires_with_chain(tree_sources):
     # The chain walks from the report-adjacent anchor down to the origin.
     assert diag.chain, diag.render()
     assert "time.time()" in diag.chain[-1]
-    assert "repro.dsp.fft.spectrum" in diag.chain[-1]
+    assert "repro.dsp.fft.estimate_shaft_speed" in diag.chain[-1]

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.gateway.server import GatewayHTTPServer
+from repro.gateway.server import MAX_BODY_BYTES, GatewayHTTPServer
 from repro.protocol.wire import encode_report
 
 
@@ -22,6 +23,20 @@ def http_fleet(fleet, gateway):
     yield fleet, gateway, f"http://127.0.0.1:{port}"
     server.shutdown()
     server.server_close()
+
+
+def _raw_post_status(base: str, content_length: str) -> int:
+    """POST /reports over a raw socket with a hand-written
+    Content-Length and no body; returns the response status code."""
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(
+            b"POST /reports HTTP/1.1\r\nHost: gateway\r\n"
+            b"Content-Type: application/json\r\n"
+            + f"Content-Length: {content_length}\r\n\r\n".encode()
+        )
+        status_line = sock.makefile("rb").readline()
+    return int(status_line.split()[1])
 
 
 def _get(base: str, path: str):
@@ -144,3 +159,16 @@ def test_bulk_post_writes_through_router(http_fleet):
     with pytest.raises(urllib.error.HTTPError) as err:
         urllib.request.urlopen(bad)
     assert err.value.code == 400
+
+
+@pytest.mark.parametrize("content_length", ["abc", "-1", "1.5", ""])
+def test_bad_content_length_is_a_400(http_fleet, content_length):
+    _, _, base = http_fleet
+    assert _raw_post_status(base, content_length) == 400
+
+
+def test_oversized_body_is_a_413_without_reading_it(http_fleet):
+    _, _, base = http_fleet
+    assert _raw_post_status(base, str(MAX_BODY_BYTES + 1)) == 413
+    # The server is still serving afterwards.
+    assert _get(base, "/stats")[0] == 200

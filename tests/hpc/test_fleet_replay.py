@@ -110,13 +110,27 @@ def test_bench_dsp_stage_reports_equal_work():
     assert any("bench.dsp.batched" in n for n in names)
 
 
+def test_bench_sbfr_stage_grid_matches_interpreter():
+    from repro.bench import _bench_sbfr
+    from repro.obs.registry import MetricsRegistry
+
+    reg = MetricsRegistry()
+    out = _bench_sbfr(reg, quick=True)
+    # The stage raises on any per-cycle status difference.
+    assert out["statuses_identical"]
+    assert out["speedup"] > 1
+    names = reg.snapshot()["histograms"].keys()
+    assert any("bench.sbfr.grid" in n for n in names)
+    assert any("bench.sbfr.interpreter" in n for n in names)
+
+
 def test_regression_gate_passes_and_fails(tmp_path):
     script = REPO_ROOT / "scripts" / "check_bench_regression.py"
     baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({"ratios": {"scan_batch_speedup": 2.0}}))
+    baseline.write_text(json.dumps({"ratios": {"sbfr_grid_speedup": 2.0}}))
 
     good = tmp_path / "good.json"
-    good.write_text(json.dumps({"ratios": {"scan_batch_speedup": 1.9}}))
+    good.write_text(json.dumps({"ratios": {"sbfr_grid_speedup": 1.9}}))
     ok = subprocess.run(
         [sys.executable, str(script), str(good), str(baseline)],
         capture_output=True, text=True,
@@ -124,7 +138,7 @@ def test_regression_gate_passes_and_fails(tmp_path):
     assert ok.returncode == 0, ok.stdout + ok.stderr
 
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"ratios": {"scan_batch_speedup": 1.0}}))
+    bad.write_text(json.dumps({"ratios": {"sbfr_grid_speedup": 1.0}}))
     fail = subprocess.run(
         [sys.executable, str(script), str(bad), str(baseline)],
         capture_output=True, text=True,

@@ -1,52 +1,22 @@
-"""The calendar-queue scheduler vs the binary-heap ablation.
+"""Ordering cases first written for the calendar-queue scheduler.
 
-The kernel promises *identical* dispatch order across schedulers —
-golden-master traces are byte-compared elsewhere, so any divergence
-here is a correctness bug, not a tuning issue.  These tests drive both
-schedulers through the awkward shapes: same-time ties, cancellations,
-run_until boundaries, and the retreat path (a callback scheduling
-*behind* the day the queue has advanced to).
+The kernel now has one scheduler, a binary heap, so these cases run
+against it directly.  They pin the two promises the calendar queue had
+to keep and the heap must still keep: five-way same-time ties dispatch
+in schedule order, and a cancelled event never fires while its
+neighbours do.
 """
 
-import pytest
-
-from repro.common.errors import SchedulingError
 from repro.netsim import EventKernel
 from repro.obs import MetricsRegistry
 
 
-def make(scheduler):
-    return EventKernel(scheduler=scheduler, metrics=MetricsRegistry())
-
-
-def trace_run(kernel, horizon=500.0, n=300):
-    trace = []
-
-    def tick(idx, period):
-        def cb():
-            trace.append((idx, kernel.now()))
-            if kernel.now() + period <= horizon:
-                kernel.schedule(period, cb)
-        return cb
-
-    for i in range(n):
-        period = 7.0 + (i % 23) * 1.3
-        kernel.schedule((i % 11) * 0.5, tick(i, period))
-    kernel.run_until(horizon)
-    return trace
-
-
-def test_unknown_scheduler_rejected():
-    with pytest.raises(SchedulingError):
-        EventKernel(scheduler="wheel", metrics=MetricsRegistry())
-
-
-def test_dispatch_traces_identical_across_schedulers():
-    assert trace_run(make("heap")) == trace_run(make("calendar"))
+def make():
+    return EventKernel(metrics=MetricsRegistry())
 
 
 def test_same_time_ties_dispatch_in_schedule_order():
-    kernel = make("calendar")
+    kernel = make()
     order = []
     for tag in "abcde":
         kernel.schedule(5.0, lambda tag=tag: order.append(tag))
@@ -55,7 +25,7 @@ def test_same_time_ties_dispatch_in_schedule_order():
 
 
 def test_cancel_works_on_calendar_scheduler():
-    kernel = make("calendar")
+    kernel = make()
     fired = []
     keep = kernel.schedule(1.0, lambda: fired.append("keep"))
     drop = kernel.schedule(2.0, lambda: fired.append("drop"))
@@ -63,48 +33,3 @@ def test_cancel_works_on_calendar_scheduler():
     kernel.run()
     assert fired == ["keep"]
     assert keep != drop
-
-
-def test_run_until_boundary_is_inclusive_and_future_stays_queued():
-    for scheduler in ("heap", "calendar"):
-        kernel = make(scheduler)
-        fired = []
-        kernel.schedule(10.0, lambda: fired.append("at"))
-        kernel.schedule(10.000001, lambda: fired.append("after"))
-        assert kernel.run_until(10.0) == 1
-        assert fired == ["at"]
-        assert kernel.pending == 1
-        assert kernel.now() == 10.0
-
-
-def test_retreat_path_callback_schedules_behind_advanced_day():
-    # run_until jumps the clock far past pending work; a later schedule
-    # lands *under* the bucket-day the calendar has advanced to, and
-    # must still dispatch before the far-future event.
-    for scheduler in ("heap", "calendar"):
-        kernel = make(scheduler)
-        fired = []
-        kernel.schedule(100.0, lambda: fired.append("far"))
-        kernel.run_until(50.0)
-        kernel.schedule(10.0, lambda: fired.append("near"))   # t=60 < 100
-        kernel.run()
-        assert fired == ["near", "far"], scheduler
-
-
-def test_sparse_far_future_events_dispatch_in_order():
-    kernel = make("calendar")
-    fired = []
-    for t in (100000.0, 10.0, 5000.0, 0.5, 300.0):
-        kernel.schedule(t, lambda t=t: fired.append(t))
-    kernel.run()
-    assert fired == sorted(fired)
-    assert kernel.now() == 100000.0
-
-
-def test_pending_counts_match_between_schedulers():
-    heap, cal = make("heap"), make("calendar")
-    for k in (heap, cal):
-        for i in range(50):
-            k.schedule(float(i), lambda: None)
-        k.run_until(25.0)
-    assert heap.pending == cal.pending

@@ -43,6 +43,47 @@ def test_run_until_stops_at_boundary():
     assert k.pending == 1
 
 
+def test_run_until_boundary_is_inclusive():
+    k = EventKernel()
+    log = []
+    k.schedule(10.0, lambda: log.append("at"))
+    k.schedule(10.000001, lambda: log.append("after"))
+    assert k.run_until(10.0) == 1
+    assert log == ["at"]
+    assert k.pending == 1
+    assert k.now() == 10.0
+
+
+def test_schedule_after_clock_jump_fires_before_later_pending_event():
+    # run_until jumps the clock past idle time; a schedule made there
+    # still dispatches before an earlier-queued, later-timed event.
+    k = EventKernel()
+    log = []
+    k.schedule(100.0, lambda: log.append("far"))
+    k.run_until(50.0)
+    k.schedule(10.0, lambda: log.append("near"))   # t=60 < 100
+    k.run()
+    assert log == ["near", "far"]
+
+
+def test_sparse_far_future_events_dispatch_in_order():
+    k = EventKernel()
+    log = []
+    for t in (100000.0, 10.0, 5000.0, 0.5, 300.0):
+        k.schedule(t, lambda t=t: log.append(t))
+    k.run()
+    assert log == sorted(log)
+    assert k.now() == 100000.0
+
+
+def test_pending_after_run_until():
+    k = EventKernel()
+    for i in range(50):
+        k.schedule(float(i), lambda: None)
+    assert k.run_until(25.0) == 26
+    assert k.pending == 24
+
+
 def test_run_until_past_rejected():
     k = EventKernel(start=10.0)
     with pytest.raises(SchedulingError):

@@ -69,6 +69,26 @@ def test_batch_rpc_mixed_results_align_with_request_order():
     assert pdme.duplicates_dropped == 1
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("severity", "abc"), ("belief", None), ("timestamp", [1]),
+])
+def test_batch_rpc_refuses_only_the_non_numeric_entry(field, bad):
+    model, pdme, unit = make_pdme()
+    reply = pdme._rpc_post_report_batch({
+        "reports": [
+            payload(unit.motor, 0, rid="dc:0#0"),
+            {**payload(unit.motor, 1, rid="dc:0#1"), field: bad},
+            payload(unit.motor, 2, rid="dc:0#2"),
+        ]
+    })
+    assert reply["accepted_count"] == 2
+    r = reply["results"]
+    assert r[0] == {"accepted": True}
+    assert r[1]["accepted"] is False and "malformed" in r[1]["error"]
+    assert r[2] == {"accepted": True}
+    assert model.report_count == 2
+
+
 def test_batch_rpc_dedups_against_earlier_singles():
     model, pdme, unit = make_pdme()
     assert pdme._rpc_post_report({**payload(unit.motor, 0, rid="dc:0#0")})["accepted"]

@@ -151,7 +151,8 @@ def test_roundtrip_property(severity, belief, timestamp, text):
 
 @st.composite
 def poisoned_payloads(draw):
-    """A valid wire payload with one numeric field made NaN or ±Inf."""
+    """A valid wire payload with one numeric field made NaN, ±Inf or
+    non-numeric (str, None, list, dict)."""
     n = draw(st.integers(min_value=1, max_value=4))
     times = sorted(
         draw(st.lists(st.floats(min_value=0.0, max_value=1e8),
@@ -170,7 +171,9 @@ def poisoned_payloads(draw):
         (i, j) for i in range(n) for j in (0, 1)
     ]
     target = draw(st.sampled_from(fields))
-    bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    bad = draw(st.sampled_from(
+        [math.nan, math.inf, -math.inf, "abc", None, [1], {"v": 1}]
+    ))
     if isinstance(target, str):
         payload[target] = bad
     else:

@@ -1,10 +1,10 @@
-"""Formal equivalence of the vectorized SBFR executors.
+"""Formal equivalence of the vectorized SBFR executor.
 
-The bank, the watch grid and the grid→interpreter migration are all
-claimed to be *exact* reimplementations of the AST interpreter's
-semantics.  These tests replay long randomized traces through both
-sides and compare complete state AND status trajectories — not just
-final values — so a single divergent cycle anywhere fails loudly.
+The watch grid and the grid→interpreter migration are both claimed
+to be *exact* reimplementations of the AST interpreter's semantics.
+These tests replay long randomized traces through both sides and
+compare complete state AND status trajectories — not just final
+values — so a single divergent cycle anywhere fails loudly.
 """
 
 import numpy as np
@@ -15,47 +15,9 @@ from repro.algorithms.sbfr_source import SbfrKnowledgeSource, SbfrWatch
 from repro.sbfr import (
     SbfrSystem,
     SbfrWatchGrid,
-    VectorizedAlarmBank,
     count_threshold_machine,
     level_alarm_machine,
 )
-
-
-def test_bank_matches_interpreter_100_machines_10k_cycles():
-    """Full state/status traces, per-channel hold times, random
-    consumers clearing flags mid-run (exercises the re-assert loop)."""
-    rng = np.random.default_rng(2024)
-    n, cycles = 100, 10_000
-    thresholds = rng.uniform(-0.5, 0.5, size=n)
-    holds = rng.integers(0, 6, size=n)
-
-    interp = SbfrSystem(channels=[f"ch{i}" for i in range(n)])
-    for i in range(n):
-        interp.add_machine(
-            level_alarm_machine(
-                channel=i,
-                threshold=float(thresholds[i]),
-                hold_cycles=int(holds[i]),
-            )
-        )
-    bank = VectorizedAlarmBank(thresholds, hold_cycles=holds)
-
-    # A slow random walk keeps machines crossing thresholds often
-    # enough to visit every transition repeatedly.
-    steps = rng.normal(0.0, 0.15, size=(cycles, n))
-    samples = np.clip(np.cumsum(steps, axis=0), -2.0, 2.0)
-    consume_at = rng.random(size=(cycles, n)) < 0.02
-
-    for c in range(cycles):
-        interp.cycle(samples[c])
-        bank.cycle(samples[c])
-        i_state = np.array([s.state for s in interp.states])
-        i_status = np.array([s.status for s in interp.states])
-        np.testing.assert_array_equal(bank.state, i_state, err_msg=f"cycle {c}")
-        np.testing.assert_array_equal(bank.status, i_status, err_msg=f"cycle {c}")
-        for i in np.flatnonzero(consume_at[c]):
-            interp.set_status(int(i), 0)
-            bank.status[i] = 0
 
 
 def test_watch_grid_matches_interpreter_pairs():

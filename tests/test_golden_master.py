@@ -120,21 +120,3 @@ def test_fleet_replay_parallel_is_byte_identical(fleet_serial_json):
     )
     parallel_json = canonical_json(replay_fleet(specs, n_workers=2))
     assert parallel_json == fleet_serial_json
-
-
-def test_fleet_replay_legacy_mode_matches_batched(fleet_serial_json):
-    """The scalar/legacy ablation produces the same canonical stream.
-
-    The entire batching layer (shared spectra, vectorized SBFR grid,
-    batch suite dispatch) is a pure optimization — turning it off may
-    only change speed, never reports.
-    """
-    from repro.hpc.parallel import replay_fleet
-    from repro.system import build_fleet_specs
-
-    specs = build_fleet_specs(
-        n_dcs=3, machines_per_dc=2, hours=0.5, seed=0,
-        batch=False, reuse_spectra=False,
-    )
-    legacy_json = canonical_json(replay_fleet(specs, n_workers=1))
-    assert legacy_json == fleet_serial_json
