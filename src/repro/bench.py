@@ -426,18 +426,19 @@ def _ingest_workload(quick: bool) -> tuple[list, list[str]]:
 
 
 def _bench_pdme_fusion(registry, quick: bool) -> dict:
-    """Incremental bitmask D-S + lazy prognosis vs the eager pre-PR shape.
+    """Incremental bitmask D-S + on-demand prognosis vs the eager shape.
 
-    ``legacy`` reproduces the pre-PR per-report cost honestly from the
+    ``legacy`` reproduces the eager per-report cost honestly from the
     retained oracle pieces: frozenset :class:`MassFunction` combination,
     a per-report belief/plausibility snapshot, and an eager conservative-
     envelope recompute over the full prognostic history on every report.
     ``incremental`` is the live engine path
     (:meth:`KnowledgeFusionEngine.ingest_batch`): bitmask masses folded
     by the incremental combiner, diagnoses pinned per ingest and
-    computed only when read, and a lazy prognosis thunk that the intake
-    loop never forces.  Final fused states must agree to 12 decimals
-    before the timing is accepted.
+    computed only when read, and prognostic history that is only
+    appended at intake — the envelope runs when a state is read.  Final
+    fused states must agree to 12 decimals before the timing is
+    accepted.
     """
     from repro.fusion.dempster_shafer import MassFunction, combine
     from repro.fusion.engine import KnowledgeFusionEngine
@@ -503,7 +504,7 @@ def _bench_pdme_fusion(registry, quick: bool) -> dict:
             rr.prognostic.shifted(max(0.0, now - rr.timestamp)) for rr in hist
         ]
         want = conservative_envelope(rebased)
-        # Forces the lazy thunk: this is the live fast-path structure.
+        # Reading the state runs the live fast-path envelope.
         got = engine.prognostic.state(obj, cond, now).vector
         if not (
             np.allclose(got.times, want.times, atol=1e-9)

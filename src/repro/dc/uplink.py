@@ -226,58 +226,60 @@ class ReportUplink:
         self._queue[key] = report
         self._submit_time[key] = self.clock.now()
         if self.store is not None:
-            payload = encode_report(report)
-            payload["report_id"] = self.report_id(key)
-            self.store.uplink_put(self.report_id(key), payload)
+            self.store.uplink_put(self.report_id(key), self._payload(key))
         self.stats.queued += 1
         self._m_queued.inc()
         self._sync_depth()
         self._transmit(key)
 
     # -- delivery -----------------------------------------------------------
-    def _transmit(self, key: int) -> None:
-        if key in self._in_flight or key not in self._queue:
-            return
-        report = self._queue[key]
+    def _payload(self, key: int) -> dict[str, Any]:
+        payload = encode_report(self._queue[key])
+        payload["report_id"] = self.report_id(key)
+        return payload
+
+    def _send(self, key: int) -> dict[str, Any]:
+        """Mark one queued report in flight; returns its wire payload."""
         self._in_flight.add(key)
         if key in self._ever_sent:
             self.stats.retries += 1
             self._m_retries.inc()
         self._ever_sent.add(key)
+        return self._payload(key)
 
-        def on_reply(result: dict, key=key) -> None:
-            self._in_flight.discard(key)
-            if key not in self._queue:
-                return
-            submitted = self._submit_time.get(key)
-            if result.get("accepted", False):
-                del self._queue[key]
-                self.stats.delivered += 1
-                self._m_delivered.inc()
-                if submitted is not None:
-                    self._m_ack_latency.observe(self.clock.now() - submitted)
-            else:
-                # PDME actively refused: retrying is pointless.
-                del self._queue[key]
-                self.stats.rejected += 1
-                self._m_rejected.inc()
-            self._forget(key)
-            self._sync_depth()
-
-        def on_error(exc: RpcError, key=key) -> None:
+    def _settle(self, key: int, result: dict | None) -> None:
+        """Apply one report's delivery outcome: the PDME's per-report
+        reply, or ``None`` when the attempt failed."""
+        self._in_flight.discard(key)
+        if key not in self._queue:
+            return
+        if result is None:
             # Keep queued; flush retries it once its backoff expires.
-            self._in_flight.discard(key)
-            if key not in self._queue:
-                return
             attempts = self._attempts.get(key, 0) + 1
             self._attempts[key] = attempts
             self._next_retry[key] = self.clock.now() + self.retry_delay(attempts)
+            return
+        del self._queue[key]
+        if result.get("accepted", False):
+            self.stats.delivered += 1
+            self._m_delivered.inc()
+            submitted = self._submit_time.get(key)
+            if submitted is not None:
+                self._m_ack_latency.observe(self.clock.now() - submitted)
+        else:
+            # PDME actively refused: retrying is pointless.
+            self.stats.rejected += 1
+            self._m_rejected.inc()
+        self._forget(key)
+        self._sync_depth()
 
-        payload = encode_report(report)
-        payload["report_id"] = self.report_id(key)
+    def _transmit(self, key: int) -> None:
+        if key in self._in_flight or key not in self._queue:
+            return
         self.endpoint.call(
-            self.pdme_name, "post_report", payload,
-            on_reply=on_reply, on_error=on_error,
+            self.pdme_name, "post_report", self._send(key),
+            on_reply=lambda result: self._settle(key, result),
+            on_error=lambda exc: self._settle(key, None),
         )
 
     def flush(self, force: bool = False) -> int:
@@ -306,8 +308,10 @@ class ReportUplink:
         """Batched alternative to :meth:`flush`: all eligible reports
         go up in one ``post_report_batch`` RPC per ``max_batch`` chunk.
 
-        Opt-in — nothing in the default wiring calls this, so existing
-        per-report traces are untouched.  Delivery semantics match
+        The per-report path stays the default: :meth:`flush` and
+        :meth:`submit` never batch, so their traces are untouched; the
+        streaming daemon's catch-up (:mod:`repro.stream.catchup`) is
+        what drives this.  Delivery semantics match
         :meth:`flush`: per-report acks, per-report backoff on failure,
         and the PDME's batch intake dedups by the same durable ids, so
         OOSM state is byte-identical to per-report delivery.
@@ -339,53 +343,16 @@ class ReportUplink:
         return len(eligible)
 
     def _transmit_batch(self, keys: list[int]) -> None:
-        payloads = []
-        for key in keys:
-            payload = encode_report(self._queue[key])
-            payload["report_id"] = self.report_id(key)
-            payloads.append(payload)
-            self._in_flight.add(key)
-            if key in self._ever_sent:
-                self.stats.retries += 1
-                self._m_retries.inc()
-            self._ever_sent.add(key)
+        payloads = [self._send(key) for key in keys]
 
-        def _failed(key: int) -> None:
-            # Keep queued; the next flush retries after backoff.
-            if key not in self._queue:
-                return
-            n = self._attempts.get(key, 0) + 1
-            self._attempts[key] = n
-            self._next_retry[key] = self.clock.now() + self.retry_delay(n)
-
-        def on_reply(result: dict, keys=keys) -> None:
+        def on_reply(result: dict) -> None:
             results = result.get("results", [])
             for i, key in enumerate(keys):
-                self._in_flight.discard(key)
-                res = results[i] if i < len(results) else None
-                if res is None:
-                    _failed(key)
-                    continue
-                if key not in self._queue:
-                    continue
-                submitted = self._submit_time.get(key)
-                if res.get("accepted", False):
-                    del self._queue[key]
-                    self.stats.delivered += 1
-                    self._m_delivered.inc()
-                    if submitted is not None:
-                        self._m_ack_latency.observe(self.clock.now() - submitted)
-                else:
-                    del self._queue[key]
-                    self.stats.rejected += 1
-                    self._m_rejected.inc()
-                self._forget(key)
-            self._sync_depth()
+                self._settle(key, results[i] if i < len(results) else None)
 
-        def on_error(exc: RpcError, keys=keys) -> None:
+        def on_error(exc: RpcError) -> None:
             for key in keys:
-                self._in_flight.discard(key)
-                _failed(key)
+                self._settle(key, None)
 
         self.endpoint.call(
             self.pdme_name, "post_report_batch", {"reports": payloads},

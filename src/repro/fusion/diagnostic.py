@@ -20,8 +20,6 @@ whole history through the frozenset oracle and certify the fast path.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.common.errors import FusionError
 from repro.common.ids import ObjectId
 from repro.fusion.dempster_shafer import (
@@ -42,10 +40,9 @@ class FusedDiagnosis:
     The state is pinned at construction — the post-combine mass plus
     its severity, count and conflict — and the per-condition views
     (``beliefs``, ``plausibilities``, ``unknown``) are computed from
-    that mass on first read.  Most conclusions flowing through the PDME
-    are never inspected, and a diagnosis read long after its own ingest
-    still reports the state as of that ingest, because combination
-    builds a new mass rather than updating the pinned one.
+    that mass on first read.  A diagnosis read long after its own
+    ingest still reports the state as of that ingest, because
+    combination builds a new mass rather than updating the pinned one.
 
     Attributes
     ----------
@@ -245,12 +242,6 @@ class DiagnosticFusion:
         self._revision += 1
         return fused
 
-    def ingest_many(
-        self, reports: Iterable[FailurePredictionReport]
-    ) -> list[FusedDiagnosis]:
-        """Fuse a batch of reports, returning each post-update state."""
-        return [self.ingest(r) for r in reports]
-
     # -- queries -----------------------------------------------------------
     def _resolve_group(self, group_name: str) -> LogicalGroup:
         """Look up a registered group, reconstructing implicit
@@ -265,6 +256,11 @@ class DiagnosticFusion:
         if fused is None:
             return FusedDiagnosis(sensed_object_id, self._resolve_group(group_name), None)
         return fused
+
+    def belief(self, sensed_object_id: ObjectId, condition: ObjectId) -> float:
+        """Fused Bel(condition) on one sensed object (0.0 without evidence)."""
+        group = self._registry.group_of(condition)
+        return self.state(sensed_object_id, group.name).beliefs.get(condition, 0.0)
 
     def keys(self) -> list[tuple[ObjectId, str]]:
         """Every (object, group) pair with fused state, insertion order."""

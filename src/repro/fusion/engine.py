@@ -11,38 +11,27 @@ Follows the paper's general format:
 The engine is deliberately decoupled from the OOSM type: it consumes
 :class:`~repro.protocol.report.FailurePredictionReport` objects pushed
 at it (by the OOSM event bridge in :mod:`repro.pdme.executive`, by
-tests, or by anything else) and emits conclusions through a sink
-callback.  §5.1 requires tolerance of "incomplete, time-disordered,
-fragmentary" inputs with "gaps, inconsistencies, and contradictions" —
-hence the per-report error isolation and the out-of-order handling in
-the prognostic path.
+tests, or by anything else) and keeps the fused *state* — step 4's
+conclusions are read from :attr:`KnowledgeFusionEngine.diagnostic`,
+:attr:`~KnowledgeFusionEngine.prognostic` and
+:meth:`~KnowledgeFusionEngine.fused_snapshot` when a display or the
+priority list asks.  §5.1 requires tolerance of "incomplete,
+time-disordered, fragmentary" inputs with "gaps, inconsistencies, and
+contradictions" — hence the per-report error isolation and the
+out-of-order handling in the prognostic path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.common.errors import MprosError
 from repro.common.ids import ObjectId
-from repro.fusion.diagnostic import DiagnosticFusion, FusedDiagnosis
+from repro.fusion.diagnostic import DiagnosticFusion
 from repro.fusion.groups import GroupRegistry
-from repro.fusion.prognostic import FusedPrognosis, PrognosticFusion, conservative_envelope
+from repro.fusion.prognostic import PrognosticFusion, conservative_envelope
 from repro.obs.registry import MetricsRegistry, default_registry
 from repro.protocol.report import FailurePredictionReport
-
-
-@dataclass(frozen=True)
-class FusionConclusion:
-    """What KF posts after ingesting one report.
-
-    Both states are pinned as of this report's ingest and computed on
-    first read, so a conclusion nobody inspects costs no snapshot.
-    """
-
-    report: FailurePredictionReport
-    diagnosis: FusedDiagnosis | None
-    prognosis: FusedPrognosis | None
 
 
 @dataclass
@@ -67,8 +56,6 @@ class KnowledgeFusionEngine:
         Optional per-knowledge-source discount factors.
     envelope:
         Prognostic combination rule (paper default: conservative).
-    sink:
-        Optional callback invoked with each :class:`FusionConclusion`.
     """
 
     def __init__(
@@ -76,12 +63,10 @@ class KnowledgeFusionEngine:
         registry: GroupRegistry,
         believability: dict[ObjectId, float] | None = None,
         envelope=conservative_envelope,
-        sink: Callable[[FusionConclusion], None] | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.diagnostic = DiagnosticFusion(registry, believability)
         self.prognostic = PrognosticFusion(envelope)
-        self._sink = sink
         self.stats = EngineStats()
         self._max_seen_time = 0.0
         reg = metrics if metrics is not None else default_registry()
@@ -93,58 +78,47 @@ class KnowledgeFusionEngine:
         #: the §5.1 "time-disordered, fragmentary" tolerance, measured.
         self._m_age = reg.histogram("fusion.report_age_seconds")
 
-    def ingest(self, report: FailurePredictionReport) -> FusionConclusion | None:
+    def ingest(self, report: FailurePredictionReport) -> bool:
         """Fuse one report; malformed evidence is counted, not fatal.
 
-        Returns the conclusion, or None if the report was rejected.
+        Returns whether the report was fused (False if rejected).
         """
         self.stats.ingested += 1
         self._m_ingested.inc()
         self._max_seen_time = max(self._max_seen_time, report.timestamp)
         self._m_age.observe(self._max_seen_time - report.timestamp)
-        diagnosis: FusedDiagnosis | None = None
-        prognosis: FusedPrognosis | None = None
+        diagnostic = report.belief > 0.0
+        prognostic = len(report.prognostic) > 0
+        if not (diagnostic or prognostic):
+            # Carried neither usable diagnosis nor prognosis.
+            self.stats.rejected += 1
+            self._m_rejected.inc()
+            return False
         try:
-            if report.belief > 0.0:
-                diagnosis = self.diagnostic.ingest(report)
+            if diagnostic:
+                self.diagnostic.ingest(report)
                 self.stats.diagnostic_updates += 1
                 self._m_diag.inc()
-            if len(report.prognostic):
-                # Fuse as of the latest time we have seen so that a
-                # time-disordered (stale) report is properly age-shifted.
-                prognosis = self.prognostic.ingest(report, now=self._max_seen_time)
+            if prognostic:
+                self.prognostic.ingest(report)
                 self.stats.prognostic_updates += 1
                 self._m_prog.inc()
         except MprosError as exc:
             self.stats.rejected += 1
             self._m_rejected.inc()
             self.stats.errors.append(f"{report.summary()}: {exc}")
-            return None
-        if diagnosis is None and prognosis is None:
-            # Carried neither usable diagnosis nor prognosis.
-            self.stats.rejected += 1
-            self._m_rejected.inc()
-            return None
-        conclusion = FusionConclusion(report, diagnosis, prognosis)
-        if self._sink is not None:
-            self._sink(conclusion)
-        return conclusion
+            return False
+        return True
 
-    def ingest_batch(
-        self, reports: list[FailurePredictionReport]
-    ) -> list[FusionConclusion]:
+    def ingest_batch(self, reports: list[FailurePredictionReport]) -> None:
         """Fuse a batch of reports in order; rejected ones are skipped.
 
         Semantically identical to calling :meth:`ingest` per report —
         the fused state is incremental either way — but gives callers
-        (the PDME executive's per-kernel-step drain) one call per batch.
+        (a shard worker's per-batch drain) one call per batch.
         """
-        out: list[FusionConclusion] = []
         for report in reports:
-            conclusion = self.ingest(report)
-            if conclusion is not None:
-                out.append(conclusion)
-        return out
+            self.ingest(report)
 
     # -- convenience queries ----------------------------------------------
     @property

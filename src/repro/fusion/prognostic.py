@@ -24,7 +24,8 @@ Per-input reading, chosen to reproduce the paper's two §5.4 examples:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -120,65 +121,21 @@ def noisy_or_envelope(vectors: Iterable[PrognosticVector]) -> PrognosticVector:
     return PrognosticVector.from_pairs(pairs)
 
 
+@dataclass(frozen=True, eq=False)
 class FusedPrognosis:
-    """Fused prognostic state for one (object, condition) pair.
+    """Fused prognostic state for one (object, condition) pair as of
+    ``as_of``: the combined curve over ``report_count`` reports."""
 
-    The fused ``vector`` is evaluated *lazily* on first access: the
-    envelope over the whole rebased report history is the PDME fusion
-    hot spot, and most conclusions flowing through the executive never
-    have their curve inspected (only the priority list and browser
-    pull it, on demand).  The snapshot is pinned at construction —
-    reports ingested later do not leak into an already-issued state.
-    """
-
-    __slots__ = (
-        "sensed_object_id",
-        "machine_condition_id",
-        "as_of",
-        "report_count",
-        "_vector",
-        "_thunk",
-    )
-
-    def __init__(
-        self,
-        sensed_object_id: ObjectId,
-        machine_condition_id: ObjectId,
-        vector: PrognosticVector | None = None,
-        as_of: float = 0.0,
-        report_count: int = 0,
-        *,
-        thunk: Callable[[], PrognosticVector] | None = None,
-    ) -> None:
-        self.sensed_object_id = sensed_object_id
-        self.machine_condition_id = machine_condition_id
-        self.as_of = as_of
-        self.report_count = report_count
-        if vector is None and thunk is None:
-            vector = PrognosticVector.empty()
-        self._vector = vector
-        self._thunk = thunk
-
-    @property
-    def vector(self) -> PrognosticVector:
-        """The fused curve (computed on first access, then pinned)."""
-        if self._vector is None:
-            assert self._thunk is not None
-            self._vector = self._thunk()
-            self._thunk = None
-        return self._vector
+    sensed_object_id: ObjectId
+    machine_condition_id: ObjectId
+    vector: PrognosticVector
+    as_of: float = 0.0
+    report_count: int = 0
 
     def time_to_failure(self, probability: float = 0.5) -> float:
         """Estimated seconds until failure probability reaches the
         given level (the §3.3 "time to failure" estimate)."""
         return self.vector.time_to_probability(probability)
-
-    def __repr__(self) -> str:
-        return (
-            f"FusedPrognosis({self.sensed_object_id!r}, "
-            f"{self.machine_condition_id!r}, as_of={self.as_of}, "
-            f"report_count={self.report_count})"
-        )
 
 
 class PrognosticFusion:
@@ -191,11 +148,10 @@ class PrognosticFusion:
     The conservative envelope is *not* associative (a single-point
     report level-shifts the prevailing multi-point curve), so exact
     incrementality is impossible without retaining reports.  Instead
-    the fusion keeps history and evaluates lazily: :meth:`state` hands
-    back a thunk over a pinned (history slice, now) and the computed
-    curve is memoized per pair until the next ingest changes the
-    history or the query time moves.  :meth:`full_recompute` bypasses
-    every cache — the oracle for the equivalence tests.
+    :meth:`ingest` only appends to the history and :meth:`state`
+    combines it when asked, memoized per pair until the next ingest
+    changes the history or the query time moves.  :meth:`full_recompute`
+    bypasses the memo — the oracle for the equivalence tests.
 
     Parameters
     ----------
@@ -214,77 +170,54 @@ class PrognosticFusion:
             tuple[ObjectId, ObjectId], tuple[tuple[int, float], PrognosticVector]
         ] = {}
 
-    def ingest(self, report: FailurePredictionReport, now: float | None = None) -> FusedPrognosis:
-        """Fuse one prognostic report; returns the updated state.
-
-        ``now`` defaults to the report's own timestamp.
-        """
+    def ingest(self, report: FailurePredictionReport) -> None:
+        """Add one prognostic report to its pair's history."""
         if len(report.prognostic) == 0:
             raise FusionError("report carries no prognostic vector")
         key = (report.sensed_object_id, report.machine_condition_id)
         self._reports.setdefault(key, []).append(report)
-        return self.state(*key, now=now if now is not None else report.timestamp)
 
-    def _fused_vector(
-        self,
-        key: tuple[ObjectId, ObjectId],
-        reports: list[FailurePredictionReport],
-        count: int,
-        now: float,
-    ) -> PrognosticVector:
-        cached = self._vector_cache.get(key)
-        if cached is not None and cached[0] == (count, now):
-            return cached[1]
+    def _fuse(self, reports: list[FailurePredictionReport], now: float) -> PrognosticVector:
         rebased = []
-        for r in reports[:count]:
-            age = now - r.timestamp
-            if age < 0:
-                # Future-stamped report (time-disordered input, §5.1):
-                # treat as effective now rather than rejecting.
-                age = 0.0
-            rebased.append(r.prognostic.shifted(age))
-        fused = self._envelope(rebased) if rebased else PrognosticVector.empty()
-        self._vector_cache[key] = ((count, now), fused)
-        return fused
+        for r in reports:
+            # A future-stamped report (time-disordered input, §5.1) is
+            # treated as effective now rather than rejected.
+            rebased.append(r.prognostic.shifted(max(0.0, now - r.timestamp)))
+        return self._envelope(rebased) if rebased else PrognosticVector.empty()
 
     def state(
         self, sensed_object_id: ObjectId, machine_condition_id: ObjectId, now: float
     ) -> FusedPrognosis:
         """Fused prognosis for an (object, condition) pair as of ``now``."""
         key = (sensed_object_id, machine_condition_id)
-        # Capture the list object itself: a later reset() unlinks it
-        # from the fusion but this snapshot keeps its pinned slice.
         reports = self._reports.get(key)
         if not reports:
             return FusedPrognosis(
-                sensed_object_id, machine_condition_id, None, now, 0
+                sensed_object_id, machine_condition_id, PrognosticVector.empty(), now
             )
-        count = len(reports)
+        version = (len(reports), now)
+        cached = self._vector_cache.get(key)
+        if cached is not None and cached[0] == version:
+            fused = cached[1]
+        else:
+            fused = self._fuse(reports, now)
+            self._vector_cache[key] = (version, fused)
         return FusedPrognosis(
-            sensed_object_id,
-            machine_condition_id,
-            None,
-            now,
-            count,
-            thunk=lambda: self._fused_vector(key, reports, count, now),
+            sensed_object_id, machine_condition_id, fused, now, len(reports)
         )
 
     def full_recompute(
         self, sensed_object_id: ObjectId, machine_condition_id: ObjectId, now: float
     ) -> FusedPrognosis:
         """Recompute the fused state from the retained history with no
-        caching or laziness — the oracle for :meth:`state`."""
-        key = (sensed_object_id, machine_condition_id)
-        reports = self._reports.get(key, [])
-        rebased = []
-        for r in reports:
-            age = now - r.timestamp
-            if age < 0:
-                age = 0.0
-            rebased.append(r.prognostic.shifted(age))
-        fused = self._envelope(rebased) if rebased else PrognosticVector.empty()
+        memo — the oracle for :meth:`state`."""
+        reports = self._reports.get((sensed_object_id, machine_condition_id), [])
         return FusedPrognosis(
-            sensed_object_id, machine_condition_id, fused, now, len(reports)
+            sensed_object_id,
+            machine_condition_id,
+            self._fuse(reports, now),
+            now,
+            len(reports),
         )
 
     def conditions_for_object(self, sensed_object_id: ObjectId) -> list[ObjectId]:

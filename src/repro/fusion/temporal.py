@@ -153,8 +153,9 @@ class EpisodeTracker:
 class TemporalAnalyzer:
     """Per-(object, condition) episode tracking over fused beliefs.
 
-    Wire :meth:`observe_conclusion` to the KF engine's sink; query
-    :meth:`projection` for the temporal prognostic of any pair.
+    The PDME executive feeds :meth:`observe` once per fused diagnostic
+    report; query :meth:`projection` for the temporal prognostic of any
+    pair.
     """
 
     onset: float = 0.5

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 from repro.common.errors import GatewayError
 from repro.common.ids import ObjectId
-from repro.gateway.cache import DEFAULT_MAX_ENTRIES, VersionedCache
+from repro.gateway.cache import VersionedCache
 from repro.gateway.pagination import (
     Page,
     clamp_limit,
@@ -109,7 +109,6 @@ class FleetGateway:
         replica: ReadReplica | None = None,
         store: ReportStore | None = None,
         writer: Callable[..., int] | None = None,
-        cache_entries: int = DEFAULT_MAX_ENTRIES,
         metrics: MetricsRegistry | None = None,
         timer: Callable[[], float] | None = None,
     ) -> None:
@@ -124,7 +123,7 @@ class FleetGateway:
         self._write_lock = threading.Lock()
         self._timer = timer
         self.metrics = metrics if metrics is not None else default_registry()
-        self.cache = VersionedCache(cache_entries, metrics=self.metrics)
+        self.cache = VersionedCache(metrics=self.metrics)
         self._m_latency = self.metrics.histogram(
             "gateway.request_seconds", edges=REQUEST_LATENCY_EDGES
         )

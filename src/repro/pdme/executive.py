@@ -7,18 +7,18 @@ Implements the §5.1 loop end to end:
    "new data" message.
 3. The subscribed Knowledge Fusion engine fuses diagnostics and
    prognostics.
-4. Conclusions are retained for the browser/priority list (and pushed
-   to any registered display callback).
+4. The fused state is what the browser and priority list read; each
+   fused report also advances the §10.1 temporal view.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro.common.clock import Clock
 from repro.common.errors import MprosError, ProtocolError
 from repro.common.ids import ObjectId
-from repro.fusion.engine import FusionConclusion, KnowledgeFusionEngine
+from repro.fusion.engine import KnowledgeFusionEngine
 from repro.fusion.groups import GroupRegistry, default_chiller_groups
 from repro.fusion.temporal import TemporalAnalyzer
 from repro.netsim.rpc import RpcEndpoint
@@ -41,9 +41,6 @@ class PdmeExecutive:
         Logical failure groups (defaults to the chiller set).
     believability:
         Optional per-source discount factors for diagnostic fusion.
-    on_update:
-        Optional display callback invoked with each fusion conclusion
-        ("this display is updated as new reports arrive", §3.2).
     clock:
         Optional simulated clock; when present, every accepted report's
         age (intake time minus report timestamp) is observed into the
@@ -56,7 +53,6 @@ class PdmeExecutive:
         model: ShipModel,
         registry: GroupRegistry | None = None,
         believability: dict[ObjectId, float] | None = None,
-        on_update: Callable[[FusionConclusion], None] | None = None,
         metrics: MetricsRegistry | None = None,
         clock: Clock | None = None,
     ) -> None:
@@ -66,7 +62,6 @@ class PdmeExecutive:
         self.engine = KnowledgeFusionEngine(
             registry if registry is not None else default_chiller_groups(),
             believability=believability,
-            sink=self._on_conclusion,
             metrics=self.metrics,
         )
         self._m_accepted = self.metrics.counter("pdme.reports_accepted")
@@ -74,14 +69,12 @@ class PdmeExecutive:
         self._m_refused = self.metrics.counter("pdme.reports_refused")
         self._m_conclusions = self.metrics.counter("pdme.conclusions")
         self._m_intake_age = self.metrics.histogram("pdme.intake.report_age_seconds")
-        self._on_update = on_update
-        self.conclusions: list[FusionConclusion] = []
         self.intake_errors: list[str] = []
         self.duplicates_dropped = 0
         self._seen_fingerprints: set[int] = set()
         self._seen_report_ids: set[str] = set()
         #: §10.1 temporal reasoning: fused-belief trajectories per
-        #: (object, condition), fed from every conclusion.
+        #: (object, condition), fed from every fused diagnostic report.
         self.temporal = TemporalAnalyzer()
         # §5.1 steps 2-3: KF subscribes to OOSM "new data" events.
         model.bus.subscribe(ReportPosted, self._on_report_posted)
@@ -106,18 +99,19 @@ class PdmeExecutive:
         self.model.post_reports(reports)
 
     def _on_report_posted(self, event: ReportPosted) -> None:
-        self.engine.ingest(event.report)
+        self._fuse(event.report)
 
     def _on_report_batch_posted(self, event: ReportBatchPosted) -> None:
-        self.engine.ingest_batch(list(event.reports))
+        for report in event.reports:
+            self._fuse(report)
 
-    def _on_conclusion(self, conclusion: FusionConclusion) -> None:
-        self.conclusions.append(conclusion)
+    def _fuse(self, report: FailurePredictionReport) -> None:
+        if not self.engine.ingest(report):
+            return
         self._m_conclusions.inc()
-        if conclusion.diagnosis is not None:
-            report = conclusion.report
-            belief = conclusion.diagnosis.beliefs.get(
-                report.machine_condition_id, 0.0
+        if report.belief > 0.0:
+            belief = self.engine.diagnostic.belief(
+                report.sensed_object_id, report.machine_condition_id
             )
             try:
                 self.temporal.observe(
@@ -128,8 +122,6 @@ class PdmeExecutive:
                 )
             except MprosError:
                 pass  # time-disordered report: temporal view skips it
-        if self._on_update is not None:
-            self._on_update(conclusion)
 
     # -- RPC server (the DC uplink) -------------------------------------------
     def serve_on(self, endpoint: RpcEndpoint) -> None:
@@ -138,45 +130,55 @@ class PdmeExecutive:
         endpoint.register("post_report_batch", self._rpc_post_report_batch)
         endpoint.register("ping", lambda p: {"pdme": "ok"})
 
-    def _rpc_post_report(self, payload: dict[str, Any]) -> dict[str, Any]:
+    def _admit(
+        self, entry: Any
+    ) -> tuple[dict[str, Any], FailurePredictionReport | None]:
+        """One wire entry's intake decision: its reply, plus the decoded
+        report when it is to be posted.
+
+        At-least-once delivery from the DC uplinks means retried reports
+        can arrive more than once (a lost ack, not a lost report) —
+        including replays from a crashed-and-restarted DC whose acks
+        died with it.  Intake is idempotent: duplicates are positively
+        acknowledged but not re-fused.  The durable uplink-assigned
+        ``report_id`` is authoritative; the content fingerprint covers
+        id-less senders.  An accepted entry's keys are recorded at once,
+        so a later copy in the same batch is a duplicate too.
+        """
+        if not isinstance(entry, dict):
+            return self._refuse("report must be a mapping"), None
+        rid = entry.get("report_id")
+        rid = rid if isinstance(rid, str) and rid else None
+        if rid is not None and rid in self._seen_report_ids:
+            return self._duplicate(), None
         try:
-            # At-least-once delivery from the DC uplinks means retried
-            # reports can arrive more than once (a lost ack, not a lost
-            # report) — including replays from a crashed-and-restarted
-            # DC whose acks died with it.  Intake is idempotent:
-            # duplicates are positively acknowledged but not re-fused.
-            # The durable uplink-assigned report_id is authoritative;
-            # the content fingerprint covers id-less senders.
-            rid = payload.get("report_id")
-            rid = rid if isinstance(rid, str) and rid else None
-            if rid is not None and rid in self._seen_report_ids:
-                self.duplicates_dropped += 1
-                self._m_duplicates.inc()
-                return {"accepted": True, "duplicate": True}
-            report = decode_report(payload)
-            fingerprint = hash((
-                report.knowledge_source_id,
-                report.sensed_object_id,
-                report.machine_condition_id,
-                report.timestamp,
-                report.severity,
-                report.belief,
-            ))
+            report = decode_report(entry)
+            fingerprint = self._fingerprint(report)
             if rid is None and fingerprint in self._seen_fingerprints:
-                self.duplicates_dropped += 1
-                self._m_duplicates.inc()
-                return {"accepted": True, "duplicate": True}
-            self.submit(report)
-            self._seen_fingerprints.add(fingerprint)
-            if rid is not None:
-                self._seen_report_ids.add(rid)
+                return self._duplicate(), None
+            if report.sensed_object_id not in self.model:
+                raise ProtocolError(
+                    f"report references unknown sensed object "
+                    f"{report.sensed_object_id!r}"
+                )
         except (ProtocolError, MprosError) as exc:
             # §5.1: inconsistent input is recorded, never fatal.
-            self.intake_errors.append(str(exc))
-            self._m_refused.inc()
-            return {"accepted": False, "error": str(exc)}
+            return self._refuse(str(exc)), None
+        self._seen_fingerprints.add(fingerprint)
+        if rid is not None:
+            self._seen_report_ids.add(rid)
         self._m_accepted.inc()
-        return {"accepted": True}
+        return {"accepted": True}, report
+
+    def _duplicate(self) -> dict[str, Any]:
+        self.duplicates_dropped += 1
+        self._m_duplicates.inc()
+        return {"accepted": True, "duplicate": True}
+
+    def _refuse(self, error: str) -> dict[str, Any]:
+        self.intake_errors.append(error)
+        self._m_refused.inc()
+        return {"accepted": False, "error": error}
 
     @staticmethod
     def _fingerprint(report: FailurePredictionReport) -> int:
@@ -189,15 +191,18 @@ class PdmeExecutive:
             report.belief,
         ))
 
-    def _rpc_post_report_batch(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Batched intake: one dedup pass and one OOSM posting per batch.
+    def _rpc_post_report(self, payload: Any) -> dict[str, Any]:
+        reply, report = self._admit(payload)
+        if report is not None:
+            self.submit(report)
+        return reply
 
-        The per-report decisions (duplicate / refused / accepted) are
-        identical to ``post_report`` called once per entry in order —
-        including duplicates *within* the batch — but the dedup-index
-        lookups happen in a single pass and the accepted reports enter
-        the OOSM through one :meth:`submit_batch` posting, which fans
-        out to fusion as one batch.  Replies carry per-report results
+    def _rpc_post_report_batch(self, payload: dict[str, Any]) -> dict[str, Any]:
+        """Batched intake: one OOSM posting per batch.
+
+        Each entry gets the decision ``post_report`` would give it, in
+        order; the accepted reports enter the OOSM through one
+        :meth:`submit_batch` posting.  Replies carry per-report results
         aligned with the request order.
         """
         entries = payload.get("reports")
@@ -206,62 +211,13 @@ class PdmeExecutive:
             return {"accepted": False, "error": "reports must be a list"}
         results: list[dict[str, Any]] = []
         accept: list[FailurePredictionReport] = []
-        accept_ids: list[str | None] = []
-        accept_fps: list[int] = []
-        batch_ids: set[str] = set()
-        batch_fps: set[int] = set()
         for entry in entries:
-            if not isinstance(entry, dict):
-                self._m_refused.inc()
-                results.append({"accepted": False, "error": "report must be a mapping"})
-                continue
-            rid = entry.get("report_id")
-            rid = rid if isinstance(rid, str) and rid else None
-            if rid is not None and (
-                rid in self._seen_report_ids or rid in batch_ids
-            ):
-                self.duplicates_dropped += 1
-                self._m_duplicates.inc()
-                results.append({"accepted": True, "duplicate": True})
-                continue
-            try:
-                report = decode_report(entry)
-                fingerprint = self._fingerprint(report)
-                if rid is None and (
-                    fingerprint in self._seen_fingerprints
-                    or fingerprint in batch_fps
-                ):
-                    self.duplicates_dropped += 1
-                    self._m_duplicates.inc()
-                    results.append({"accepted": True, "duplicate": True})
-                    continue
-                # Mirror post_report's refusal point: an unknown sensed
-                # object rejects this report, not the whole batch.
-                if report.sensed_object_id not in self.model:
-                    raise ProtocolError(
-                        f"report references unknown sensed object "
-                        f"{report.sensed_object_id!r}"
-                    )
-            except (ProtocolError, MprosError) as exc:
-                self.intake_errors.append(str(exc))
-                self._m_refused.inc()
-                results.append({"accepted": False, "error": str(exc)})
-                continue
-            if rid is not None:
-                batch_ids.add(rid)
-            else:
-                batch_fps.add(fingerprint)
-            accept.append(report)
-            accept_ids.append(rid)
-            accept_fps.append(fingerprint)
-            results.append({"accepted": True})
+            reply, report = self._admit(entry)
+            results.append(reply)
+            if report is not None:
+                accept.append(report)
         if accept:
             self.submit_batch(accept)
-            for rid, fingerprint in zip(accept_ids, accept_fps):
-                self._seen_fingerprints.add(fingerprint)
-                if rid is not None:
-                    self._seen_report_ids.add(rid)
-            self._m_accepted.inc(len(accept))
         return {
             "accepted": True,
             "results": results,

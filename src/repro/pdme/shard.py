@@ -164,18 +164,14 @@ class ShardedFusionEngine:
     def _engine_for(self, sensed_object_id: ObjectId) -> KnowledgeFusionEngine:
         return self.engines[self.layout.shard_of(sensed_object_id)]
 
-    def ingest(self, report: FailurePredictionReport):
-        """Route one report to its shard's engine."""
+    def ingest(self, report: FailurePredictionReport) -> bool:
+        """Route one report to its shard's engine; True if fused."""
         return self._engine_for(report.sensed_object_id).ingest(report)
 
-    def ingest_batch(self, reports: list[FailurePredictionReport]) -> list:
+    def ingest_batch(self, reports: list[FailurePredictionReport]) -> None:
         """Route a batch; per-shard sublists keep arrival order."""
-        out = []
         for report in reports:
-            conclusion = self.ingest(report)
-            if conclusion is not None:
-                out.append(conclusion)
-        return out
+            self.ingest(report)
 
     @property
     def max_seen_time(self) -> float:

@@ -120,15 +120,6 @@ def test_reset_clears_pair(fusion):
     assert fusion.state("obj:chiller1", "rotating-mechanical").report_count == 0
 
 
-def test_ingest_many_returns_each_state(fusion):
-    states = fusion.ingest_many([
-        report("mc:motor-imbalance", 0.5),
-        report("mc:motor-imbalance", 0.5),
-    ])
-    assert len(states) == 2
-    assert states[1].report_count == 2
-
-
 def test_discounted_support_validates():
     g = LogicalGroup("g", frozenset({"mc:a"}))
     with pytest.raises(FusionError):

@@ -4,6 +4,8 @@ from repro.fusion import KnowledgeFusionEngine
 from repro.fusion.groups import default_chiller_groups
 from repro.protocol import FailurePredictionReport, PrognosticVector
 
+GROUP = "rotating-mechanical"
+
 
 def report(cond="mc:motor-imbalance", belief=0.6, pairs=(), t=0.0, obj="obj:m1",
            ks="ks:dli"):
@@ -24,38 +26,38 @@ def engine():
 
 
 def test_diagnostic_only_report(engine):
-    c = engine.ingest(report(belief=0.7))
-    assert c is not None
-    assert c.diagnosis is not None and c.prognosis is None
+    assert engine.ingest(report(belief=0.7)) is True
+    assert engine.diagnostic.state("obj:m1", GROUP).report_count == 1
+    assert engine.prognostic.keys() == []
     assert engine.stats.diagnostic_updates == 1
     assert engine.stats.prognostic_updates == 0
 
 
 def test_prognostic_only_report(engine):
-    c = engine.ingest(report(belief=0.0, pairs=[(100.0, 0.5)]))
-    assert c.diagnosis is None and c.prognosis is not None
+    assert engine.ingest(report(belief=0.0, pairs=[(100.0, 0.5)])) is True
+    assert engine.diagnostic.keys() == []
+    state = engine.prognostic.state("obj:m1", "mc:motor-imbalance", 0.0)
+    assert state.report_count == 1
+    assert state.vector.probability_at(100.0) == pytest.approx(0.5)
     assert engine.stats.prognostic_updates == 1
 
 
 def test_combined_report_updates_both(engine):
-    c = engine.ingest(report(belief=0.5, pairs=[(100.0, 0.5)]))
-    assert c.diagnosis is not None and c.prognosis is not None
+    assert engine.ingest(report(belief=0.5, pairs=[(100.0, 0.5)])) is True
+    assert engine.diagnostic.state("obj:m1", GROUP).beliefs[
+        "mc:motor-imbalance"
+    ] == pytest.approx(0.5)
+    assert engine.prognostic.state(
+        "obj:m1", "mc:motor-imbalance", 0.0
+    ).report_count == 1
 
 
 def test_empty_report_rejected_not_fatal(engine):
     """A report with neither belief nor prognosis is counted, skipped."""
-    c = engine.ingest(report(belief=0.0))
-    assert c is None
+    assert engine.ingest(report(belief=0.0)) is False
     assert engine.stats.rejected == 1
     assert engine.stats.ingested == 1
-
-
-def test_sink_receives_conclusions():
-    seen = []
-    engine = KnowledgeFusionEngine(default_chiller_groups(), sink=seen.append)
-    engine.ingest(report())
-    assert len(seen) == 1
-    assert seen[0].report.machine_condition_id == "mc:motor-imbalance"
+    assert engine.diagnostic.keys() == [] and engine.prognostic.keys() == []
 
 
 def test_time_disordered_reports_handled(engine):
@@ -76,13 +78,17 @@ def test_suspects_passthrough(engine):
 def test_stats_count_errors_without_raising(engine):
     # Force an internal FusionError path: conflicting certainty.
     engine.ingest(report(cond="mc:motor-imbalance", belief=1.0))
-    c = engine.ingest(report(cond="mc:shaft-misalignment", belief=1.0))
-    assert c is None
+    assert engine.ingest(report(cond="mc:shaft-misalignment", belief=1.0)) is False
     assert engine.stats.rejected == 1
     assert engine.stats.errors
+    # The rejected report left the fused state as it was.
+    state = engine.diagnostic.state("obj:m1", GROUP)
+    assert state.report_count == 1
+    assert state.beliefs["mc:motor-imbalance"] == pytest.approx(1.0)
 
 
 def test_multisource_reinforcement_via_engine(engine):
     engine.ingest(report(belief=0.6, ks="ks:dli"))
-    c = engine.ingest(report(belief=0.6, ks="ks:sbfr"))
-    assert c.diagnosis.beliefs["mc:motor-imbalance"] == pytest.approx(1 - 0.16)
+    engine.ingest(report(belief=0.6, ks="ks:sbfr"))
+    state = engine.diagnostic.state("obj:m1", GROUP)
+    assert state.beliefs["mc:motor-imbalance"] == pytest.approx(1 - 0.16)

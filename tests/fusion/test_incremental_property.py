@@ -18,9 +18,7 @@ from repro.fusion.dempster_shafer import (
     combine_incremental,
 )
 from repro.fusion.diagnostic import DiagnosticFusion
-from repro.fusion.engine import KnowledgeFusionEngine
 from repro.fusion.groups import default_chiller_groups
-from repro.obs.registry import MetricsRegistry
 from repro.protocol.report import FailurePredictionReport
 
 _GROUPS = default_chiller_groups()
@@ -119,15 +117,13 @@ def _diagnosis_fields(d):
 @settings(max_examples=60, deadline=None)
 @given(_report_streams)
 def test_diagnosis_read_late_equals_read_at_ingest(stream):
-    """A conclusion's diagnosis is pinned at its own ingest: reading it
-    after the whole stream has been fused gives, field for field, what
-    reading it right after its ingest gave."""
+    """The diagnosis :meth:`DiagnosticFusion.ingest` returns is pinned
+    at its own ingest: reading it after the whole stream has been fused
+    gives, field for field, what reading it right after its ingest gave."""
 
-    def engine():
-        return KnowledgeFusionEngine(
-            _GROUPS,
-            believability={"ks:dli": 1.0, "ks:wnn": 0.7, "ks:fuzzy": 0.4},
-            metrics=MetricsRegistry(),
+    def fusion():
+        return DiagnosticFusion(
+            _GROUPS, believability={"ks:dli": 1.0, "ks:wnn": 0.7, "ks:fuzzy": 0.4}
         )
 
     reports = [
@@ -141,9 +137,7 @@ def test_diagnosis_read_late_equals_read_at_ingest(stream):
         )
         for i, (obj, cond, ks, severity, belief) in enumerate(stream)
     ]
-    early_engine, late_engine = engine(), engine()
-    early = [
-        _diagnosis_fields(early_engine.ingest(r).diagnosis) for r in reports
-    ]
-    late = [late_engine.ingest(r) for r in reports]
-    assert [_diagnosis_fields(c.diagnosis) for c in late] == early
+    early_fusion, late_fusion = fusion(), fusion()
+    early = [_diagnosis_fields(early_fusion.ingest(r)) for r in reports]
+    late = [late_fusion.ingest(r) for r in reports]
+    assert [_diagnosis_fields(d) for d in late] == early

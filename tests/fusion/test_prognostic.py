@@ -137,14 +137,16 @@ def test_fusion_future_stamped_report_treated_as_now():
 def test_fusion_combines_multiple_sources():
     pf = PrognosticFusion()
     pf.ingest(prog_report([(100.0, 0.3)], ks="ks:dli"))
-    state = pf.ingest(prog_report([(100.0, 0.7)], ks="ks:wnn"))
+    pf.ingest(prog_report([(100.0, 0.7)], ks="ks:wnn"))
+    state = pf.state("obj:comp", "mc:bearing-wear", now=0.0)
     assert state.vector.probability_at(100.0) == pytest.approx(0.7)
     assert state.report_count == 2
 
 
 def test_time_to_failure_estimate():
     pf = PrognosticFusion()
-    state = pf.ingest(prog_report([(months(4), 0.5)], t=0.0))
+    pf.ingest(prog_report([(months(4), 0.5)], t=0.0))
+    state = pf.state("obj:comp", "mc:bearing-wear", now=0.0)
     assert state.time_to_failure(0.5) == pytest.approx(months(4))
 
 

@@ -9,15 +9,17 @@ the fused OOSM state ends up the same either way.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import NetworkError
 from repro.dc.uplink import ReportUplink
 from repro.netsim import EventKernel, LinkConfig, Network, RpcEndpoint
 from repro.obs import MetricsRegistry
-from repro.oosm import build_chilled_water_ship
+from repro.oosm import ReportPosted, build_chilled_water_ship
 from repro.pdme import PdmeExecutive
-from repro.protocol import FailurePredictionReport
-from repro.protocol.wire import encode_report
+from repro.protocol import FailurePredictionReport, PrognosticVector
+from repro.protocol.canonical import canonical_dumps
+from repro.protocol.wire import decode_report, encode_report
 
 
 def report(obj, i=0, belief=0.4):
@@ -133,6 +135,100 @@ def test_batch_equals_singles_fused_state():
     for c in sa.beliefs:
         assert sa.beliefs[c] == pytest.approx(sb.beliefs[c], abs=1e-12)
     assert model_a.report_count == model_b.report_count == 6
+
+
+# -- one post_report per entry == one post_report_batch ---------------------
+
+_CONDITIONS = ("mc:motor-imbalance", "mc:shaft-misalignment", "mc:bearing-wear")
+_PAIRS = ((), ((3600.0, 0.5),), ((600.0, 0.1), (7200.0, 0.9)))
+
+# Small discrete domains, so equal contents (and so fingerprint
+# duplicates) and reused ids come up often.
+_content = st.tuples(
+    st.sampled_from(("motor", "pump", "ghost")),
+    st.sampled_from(_CONDITIONS),
+    st.integers(0, 5),
+    st.sampled_from((0.0, 0.3, 0.6, 0.9)),
+    st.sampled_from(_PAIRS),
+)
+_entries = st.lists(
+    st.one_of(
+        st.tuples(st.just("id"), st.integers(0, 5), _content),
+        st.tuples(st.just("no-id"), st.none(), _content),
+        st.tuples(
+            st.just("bad"),
+            st.sampled_from(("severity", "belief", "timestamp")),
+            st.sampled_from(("abc", None, [1])),
+        ),
+        st.just(("junk", None, None)),
+    ),
+    max_size=25,
+)
+
+
+def _wire(unit, spec):
+    kind, key, detail = spec
+    if kind == "junk":
+        return "not-a-mapping"
+    if kind == "bad":
+        return {**payload(unit.motor, 0), key: detail}
+    obj, cond, t, belief, pairs = detail
+    p = encode_report(FailurePredictionReport(
+        knowledge_source_id="ks:dli",
+        sensed_object_id="obj:ghost" if obj == "ghost" else getattr(unit, obj),
+        machine_condition_id=cond,
+        severity=0.5,
+        belief=belief,
+        timestamp=60.0 * t,
+        prognostic=PrognosticVector.from_pairs(list(pairs)),
+    ))
+    if kind == "id":
+        p["report_id"] = f"dc:0#{key}"
+    return p
+
+
+def _intake_state(pdme, unit):
+    counters = pdme.metrics.snapshot()["counters"]
+    episodes = {}
+    for obj in (unit.motor, unit.pump):
+        for cond in _CONDITIONS:
+            tracker = pdme.temporal.tracker(obj, cond)
+            episodes[(obj, cond)] = (tracker.episodes, tracker.active)
+    return (
+        list(pdme.intake_errors),
+        pdme.duplicates_dropped,
+        {k: v for k, v in counters.items() if k.startswith("pdme.")},
+        canonical_dumps(pdme.fused_model()),
+        episodes,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_entries)
+def test_single_and_batch_intake_make_the_same_decisions(specs):
+    model_a, ship_a, units_a = build_chilled_water_ship(n_chillers=1)
+    model_b, ship_b, units_b = build_chilled_water_ship(n_chillers=1)
+    single = PdmeExecutive(model_a, metrics=MetricsRegistry())
+    batch = PdmeExecutive(model_b, metrics=MetricsRegistry())
+    posted = []
+    model_a.bus.subscribe(ReportPosted, lambda event: posted.append(event.report))
+    entries = [_wire(units_a[0], spec) for spec in specs]
+
+    replies = [
+        single._rpc_post_report(dict(e) if isinstance(e, dict) else e)
+        for e in entries
+    ]
+    reply = batch._rpc_post_report_batch({
+        "reports": [dict(e) if isinstance(e, dict) else e for e in entries]
+    })
+
+    assert reply["results"] == replies
+    accepted = [e for e, r in zip(entries, replies) if r == {"accepted": True}]
+    assert reply["accepted_count"] == len(accepted)
+    assert [encode_report(r) for r in posted] == [
+        encode_report(decode_report(e)) for e in accepted
+    ]
+    assert _intake_state(single, units_a[0]) == _intake_state(batch, units_b[0])
 
 
 # -- the uplink batched flush over the simulated network --------------------

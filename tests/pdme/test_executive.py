@@ -5,6 +5,7 @@ import pytest
 
 from repro.common.units import months, weeks
 from repro.netsim import EventKernel, LinkConfig, Network, RpcEndpoint
+from repro.obs import MetricsRegistry
 from repro.oosm import ShipModel, build_chilled_water_ship
 from repro.pdme import PdmeExecutive, prioritize, render_machine_screen, render_priority_list
 from repro.pdme.priorities import urgency_score
@@ -14,7 +15,7 @@ from repro.protocol.wire import encode_report
 
 def make_pdme():
     model, ship, units = build_chilled_water_ship(n_chillers=1)
-    pdme = PdmeExecutive(model)
+    pdme = PdmeExecutive(model, metrics=MetricsRegistry())
     return model, pdme, units[0]
 
 
@@ -37,25 +38,17 @@ def test_submit_posts_to_oosm_and_fuses():
     model, pdme, unit = make_pdme()
     pdme.submit(report(unit.motor))
     assert model.report_count == 1
-    assert len(pdme.conclusions) == 1
-    c = pdme.conclusions[0]
-    assert c.diagnosis.beliefs["mc:motor-imbalance"] == pytest.approx(0.6)
-
-
-def test_display_callback_invoked():
-    model, ship, units = build_chilled_water_ship(n_chillers=1)
-    seen = []
-    pdme = PdmeExecutive(model, on_update=seen.append)
-    pdme.submit(report(units[0].motor))
-    assert len(seen) == 1
+    assert pdme.metrics.counter("pdme.conclusions").value == 1
+    state = pdme.engine.diagnostic.state(unit.motor, "rotating-mechanical")
+    assert state.beliefs["mc:motor-imbalance"] == pytest.approx(0.6)
 
 
 def test_reinforcing_sources_fuse():
     model, pdme, unit = make_pdme()
     pdme.submit(report(unit.motor, ks="ks:dli", belief=0.6))
     pdme.submit(report(unit.motor, ks="ks:wnn", belief=0.6))
-    c = pdme.conclusions[-1]
-    assert c.diagnosis.beliefs["mc:motor-imbalance"] == pytest.approx(1 - 0.16)
+    state = pdme.engine.diagnostic.state(unit.motor, "rotating-mechanical")
+    assert state.beliefs["mc:motor-imbalance"] == pytest.approx(1 - 0.16)
 
 
 # -- RPC intake ---------------------------------------------------------------------

@@ -8,6 +8,7 @@ ties, and stale (time-disordered) reports reaching the temporal view.
 
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.oosm import build_chilled_water_ship
 from repro.pdme import PdmeExecutive, prioritize, render_machine_screen, render_priority_list
 from repro.protocol import FailurePredictionReport, PrognosticVector
@@ -15,7 +16,7 @@ from repro.protocol import FailurePredictionReport, PrognosticVector
 
 def make_pdme():
     model, ship, units = build_chilled_water_ship(n_chillers=2)
-    pdme = PdmeExecutive(model)
+    pdme = PdmeExecutive(model, metrics=MetricsRegistry())
     return model, pdme, units
 
 
@@ -85,7 +86,7 @@ def test_stale_report_skipped_by_temporal_view_not_fusion():
     # Time-disordered arrival (§5.1): older than what temporal has seen.
     pdme.submit(report(motor, belief=0.7, t=50.0, ks="ks:wnn"))
     # Fusion accepts both reports ...
-    assert len(pdme.conclusions) == 2
+    assert pdme.metrics.counter("pdme.conclusions").value == 2
     assert model.report_count == 2
     # ... the temporal tracker only advanced on the in-order one ...
     tracker = pdme.temporal.tracker(motor, "mc:motor-imbalance")
