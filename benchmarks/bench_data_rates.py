@@ -2,7 +2,8 @@
 
 "Fleet-wide, thousands of embedded processors will collect millions of
 data points per second" — the accounting rows, plus the vectorized-vs-
-naive feature pipeline ablation and the multiprocessing ship replay.
+per-channel-loop RMS/peak/crest ablation and the multiprocessing ship
+replay.
 """
 
 from benchmarks._util import mean_seconds, trimmed_median_seconds
@@ -15,11 +16,20 @@ from repro.hpc import (
     FleetConfig,
     LoadGenerator,
     fleet_data_rate,
-    parallel_feature_extraction,
-    serial_feature_extraction,
+    replay_fleet,
 )
-from repro.hpc.pipeline import naive_process
+from repro.protocol.canonical import canonical_json
 
+
+def _per_channel_summary(block):
+    """Ablation baseline: RMS, peak and crest one channel at a time,
+    fresh allocations on every step."""
+    out = []
+    for x in block:
+        rms = np.sqrt(np.mean(x**2))
+        peak = np.max(np.abs(x))
+        out.append((rms, peak, peak / rms if rms > 0 else 0.0))
+    return out
 
 
 def test_fleet_accounting(benchmark):
@@ -51,8 +61,7 @@ def test_naive_pipeline_block(benchmark):
     n_channels, block_samples = 32, 4096
     gen = LoadGenerator(n_channels, block_samples, np.random.default_rng(0))
     block = gen.next_block().copy()
-    bands = ((0.0, 500.0), (500.0, 2000.0), (2000.0, 8000.0))
-    benchmark(naive_process, block, 16384.0, bands)
+    benchmark(_per_channel_summary, block)
     rate = n_channels * block_samples / mean_seconds(benchmark)
     benchmark.extra_info["points_per_second"] = f"{rate:,.0f}"
 
@@ -77,13 +86,17 @@ def test_sustained_throughput_vs_dc_load(benchmark):
 
 
 def test_ship_replay_parallel_farm(benchmark):
-    """PDME-side replay of many DCs' blocks across a process pool."""
-    rng = np.random.default_rng(1)
-    blocks = rng.normal(size=(24, 16, 2048))
+    """PDME-side replay of many DCs' scenarios across a process pool;
+    the pooled report stream is byte-identical to the serial one."""
+    from repro.system import build_fleet_specs
+
+    specs = build_fleet_specs(n_dcs=4, machines_per_dc=1, hours=0.25, seed=1)
 
     def farm():
-        return parallel_feature_extraction(blocks, 16384.0, n_workers=4)
+        return replay_fleet(specs, n_workers=2)
 
     out = benchmark.pedantic(farm, rounds=2, iterations=1)
-    assert np.allclose(out, serial_feature_extraction(blocks, 16384.0))
-    benchmark.extra_info["blocks"] = blocks.shape[0]
+    assert out, "faulted DC produced no reports"
+    assert canonical_json(out) == canonical_json(replay_fleet(specs, n_workers=1))
+    benchmark.extra_info["dcs"] = len(specs)
+    benchmark.extra_info["reports"] = len(out)

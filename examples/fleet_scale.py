@@ -2,11 +2,11 @@
 """§1's HPC claim made concrete: fleet data loads and DC throughput.
 
 Accounts the "millions of data points per second" fleet-wide load,
-measures whether one DC-class feature pipeline keeps up with its
-share — vectorized vs naive per-channel processing, serial vs
-multiprocessing farm — then replays a whole multi-DC fleet scenario
-through the batched scan→report pipeline, serial and parallel, and
-shows that both executions produce the exact same report stream.
+measures whether one DC-class RMS/peak/crest pipeline keeps up with its
+share — vectorized vs a per-channel loop — then replays a whole
+multi-DC fleet scenario through the batched scan→report pipeline,
+serial and parallel, and shows that both executions produce the exact
+same report stream.
 
 Run:  python examples/fleet_scale.py
 """
@@ -20,10 +20,18 @@ from repro.hpc import (
     FleetConfig,
     LoadGenerator,
     fleet_data_rate,
-    parallel_feature_extraction,
-    serial_feature_extraction,
 )
-from repro.hpc.pipeline import naive_process
+
+
+def per_channel_summary(block: np.ndarray) -> list[tuple[float, float, float]]:
+    """RMS, peak and crest one channel at a time (the loop the
+    vectorized pipeline replaces)."""
+    out = []
+    for x in block:
+        rms = float(np.sqrt(np.mean(x**2)))
+        peak = float(np.max(np.abs(x)))
+        out.append((rms, peak, peak / rms if rms > 0 else 0.0))
+    return out
 
 
 def main() -> None:
@@ -50,22 +58,10 @@ def main() -> None:
 
     t0 = time.perf_counter()  # mpros: allow[lint.wall-clock]
     for _ in range(20):
-        naive_process(gen.next_block(), 16384.0, pipeline.bands)
-    naive_rate = 20 * gen.points_per_block / (time.perf_counter() - t0)  # mpros: allow[lint.wall-clock]
-    print(f"  naive loop: {naive_rate:,.0f} points/s "
-          f"({throughput / naive_rate:.1f}x slower than vectorized)")
-
-    print("\nPDME-side ship replay: multiprocessing DC farm")
-    blocks = np.stack([gen.next_block().copy() for _ in range(32)])
-    t0 = time.perf_counter()  # mpros: allow[lint.wall-clock]
-    serial_feature_extraction(blocks, 16384.0)
-    t_serial = time.perf_counter() - t0  # mpros: allow[lint.wall-clock]
-    t0 = time.perf_counter()  # mpros: allow[lint.wall-clock]
-    parallel_feature_extraction(blocks, 16384.0, n_workers=4)
-    t_parallel = time.perf_counter() - t0  # mpros: allow[lint.wall-clock]
-    print(f"  serial:   {t_serial * 1e3:7.1f} ms")
-    print(f"  4 workers:{t_parallel * 1e3:7.1f} ms "
-          f"(speedup {t_serial / t_parallel:.2f}x; includes pool startup)")
+        per_channel_summary(gen.next_block())
+    loop_rate = 20 * gen.points_per_block / (time.perf_counter() - t0)  # mpros: allow[lint.wall-clock]
+    print(f"  per-channel loop: {loop_rate:,.0f} points/s "
+          f"({throughput / loop_rate:.1f}x slower than vectorized)")
 
     print("\nWhole-DC fleet replay: 4 DCs x 2 machines, 1 simulated hour each")
     from repro.hpc import replay_fleet

@@ -56,20 +56,24 @@ def _twice_shaft_vs_twice_line(
         )
     lo = min(f_mis, f_ph) - 3 * res
     hi = max(f_mis, f_ph) + 3 * res
-    mask = (hires.freqs >= lo) & (hires.freqs <= hi)
-    if not mask.any():
+    # The bins in [lo, hi] of the sorted grid: a slice, not a mask over
+    # the whole spectrum.  The loser's window below lies inside it.
+    i0 = int(np.searchsorted(hires.freqs, lo, side="left"))
+    i1 = int(np.searchsorted(hires.freqs, hi, side="right"))
+    if i1 <= i0:
         return 0.0, 0.0
-    idx = np.flatnonzero(mask)
-    peak_idx = idx[int(np.argmax(hires.amps[idx]))]
-    f_peak = float(hires.freqs[peak_idx])
-    peak_amp = float(hires.amps[peak_idx])
+    freqs = hires.freqs[i0:i1]
+    amps = hires.amps[i0:i1]
+    peak_idx = int(np.argmax(amps))
+    f_peak = float(freqs[peak_idx])
+    peak_amp = float(amps[peak_idx])
     winner_is_mis = abs(f_peak - f_mis) <= abs(f_peak - f_ph)
     # Loser amplitude: its window, excluding the winner's mainlobe.
     loser_f = f_ph if winner_is_mis else f_mis
-    loser_mask = (np.abs(hires.freqs - loser_f) <= 2 * res) & (
-        np.abs(hires.freqs - f_peak) > 2.5 * res
+    loser_mask = (np.abs(freqs - loser_f) <= 2 * res) & (
+        np.abs(freqs - f_peak) > 2.5 * res
     )
-    loser_amp = float(hires.amps[loser_mask].max()) if loser_mask.any() else 0.0
+    loser_amp = float(amps[loser_mask].max()) if loser_mask.any() else 0.0
     if winner_is_mis:
         return peak_amp, loser_amp
     return loser_amp, peak_amp

@@ -29,6 +29,11 @@ SEVERITY_TERMS: dict[str, MembershipFunction] = {
 
 _GRID = np.linspace(0.0, 1.0, 201)
 
+#: Each severity term's membership over ``_GRID``, evaluated once.
+_SEVERITY_ON_GRID: dict[str, np.ndarray] = {
+    term: np.asarray(mf(_GRID)) for term, mf in SEVERITY_TERMS.items()
+}
+
 
 @dataclass(frozen=True)
 class FuzzyRule:
@@ -110,7 +115,7 @@ class MamdaniEngine:
         for cond, activations in clipped.items():
             agg = np.zeros_like(_GRID)
             for term, s in activations:
-                np.maximum(agg, np.minimum(np.asarray(SEVERITY_TERMS[term](_GRID)), s), out=agg)
+                np.maximum(agg, np.minimum(_SEVERITY_ON_GRID[term], s), out=agg)
             mass = float(agg.sum())
             severity = float((agg * _GRID).sum() / mass) if mass > 0 else 0.0
             out.append(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -17,6 +18,34 @@ class MembershipFunction:
         raise NotImplementedError
 
 
+def _ramps(
+    x: float | np.ndarray, a: float, b: float, c: float, d: float, zero_outside: bool
+) -> float | np.ndarray:
+    """``clip(min(rise a→b, fall c→d), 0, 1)``; a zero-width ramp is 1.
+
+    Plain numbers take a float path that returns the same bits as the
+    array path (NaN and signed zeros included) without numpy's per-call
+    overhead: rule evaluation calls this dozens of times per scan.
+    """
+    if isinstance(x, (int, float)):
+        x = float(x)
+        if zero_outside and (x < a or x > d):
+            return 0.0
+        left = (x - a) / max(b - a, 1e-300) if b > a else 1.0
+        right = (d - x) / max(d - c, 1e-300) if d > c else 1.0
+        if left != left or right != right:
+            return math.nan
+        out = left if left < right else right
+        return 0.0 if out < 0.0 else 1.0 if out > 1.0 else float(out)
+    x = np.asarray(x, dtype=np.float64)
+    left = np.where(b > a, (x - a) / max(b - a, 1e-300), 1.0)
+    right = np.where(d > c, (d - x) / max(d - c, 1e-300), 1.0)
+    out = np.clip(np.minimum(left, right), 0.0, 1.0)
+    if zero_outside:
+        out = np.where((x < a) | (x > d), 0.0, out)
+    return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class Triangle(MembershipFunction):
     """Triangular MF with feet at ``a``/``c`` and apex at ``b``."""
@@ -30,15 +59,7 @@ class Triangle(MembershipFunction):
             raise MprosError(f"need a <= b <= c, got ({self.a}, {self.b}, {self.c})")
 
     def __call__(self, x: float | np.ndarray) -> float | np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        left = np.where(
-            self.b > self.a, (x - self.a) / max(self.b - self.a, 1e-300), 1.0
-        )
-        right = np.where(
-            self.c > self.b, (self.c - x) / max(self.c - self.b, 1e-300), 1.0
-        )
-        out = np.clip(np.minimum(left, right), 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
+        return _ramps(x, self.a, self.b, self.b, self.c, zero_outside=False)
 
 
 @dataclass(frozen=True)
@@ -56,17 +77,8 @@ class Trapezoid(MembershipFunction):
             raise MprosError(f"need a <= b <= c <= d, got {(self.a, self.b, self.c, self.d)}")
 
     def __call__(self, x: float | np.ndarray) -> float | np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        left = np.where(
-            self.b > self.a, (x - self.a) / max(self.b - self.a, 1e-300), 1.0
-        )
-        right = np.where(
-            self.d > self.c, (self.d - x) / max(self.d - self.c, 1e-300), 1.0
-        )
-        out = np.clip(np.minimum(left, right), 0.0, 1.0)
         # Outside [a, d] membership is zero even for degenerate ramps.
-        out = np.where((x < self.a) | (x > self.d), 0.0, out)
-        return float(out) if out.ndim == 0 else out
+        return _ramps(x, self.a, self.b, self.c, self.d, zero_outside=True)
 
 
 @dataclass(frozen=True)

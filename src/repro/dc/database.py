@@ -14,7 +14,7 @@ import sqlite3
 from pathlib import Path
 from typing import Any
 
-from repro.common.errors import MprosError
+from repro.common.errors import MprosError, ProtocolError
 from repro.protocol.report import FailurePredictionReport
 from repro.protocol.wire import decode_report, encode_report
 
@@ -63,6 +63,29 @@ CREATE TABLE IF NOT EXISTS scheduler_cursors (
 CREATE INDEX IF NOT EXISTS idx_meas_machine ON measurements(machine_id, kind);
 CREATE INDEX IF NOT EXISTS idx_reports_machine ON condition_reports(machine_id);
 """
+
+
+def _reject_constant(name: str) -> Any:
+    raise ValueError(f"non-finite number {name}")
+
+
+def _load_object(table: str, text: Any) -> dict[str, Any]:
+    """Parse one stored JSON object column.
+
+    ``NaN`` and ``±Infinity`` are refused: every value the DC writes is
+    finite, so one in a row means the file was damaged or edited.  Any
+    corrupt row becomes an :class:`MprosError` naming its table.
+    """
+    try:
+        value = json.loads(text, parse_constant=_reject_constant)
+    except (TypeError, ValueError) as exc:
+        raise MprosError(f"corrupt row in DC database table {table}: {exc}") from None
+    if not isinstance(value, dict):
+        raise MprosError(
+            f"corrupt row in DC database table {table}: "
+            f"expected a JSON object, got {type(value).__name__}"
+        )
+    return value
 
 
 class DcDatabase:
@@ -115,7 +138,7 @@ class DcDatabase:
         ).fetchone()
         if row is None:
             raise MprosError(f"no machine {machine_id!r} in DC database")
-        return json.loads(row[0])
+        return _load_object("machinery", row[0])
 
     def machines(self) -> list[str]:
         """All registered machine ids."""
@@ -200,7 +223,12 @@ class DcDatabase:
             "SELECT payload FROM condition_reports WHERE machine_id = ? ORDER BY seq",
             (machine_id,),
         ).fetchall()
-        return [decode_report(json.loads(p)) for (p,) in rows]
+        try:
+            return [decode_report(_load_object("condition_reports", p)) for (p,) in rows]
+        except ProtocolError as exc:
+            raise MprosError(
+                f"corrupt row in DC database table condition_reports: {exc}"
+            ) from None
 
     def report_count(self) -> int:
         """Total stored condition reports."""
@@ -232,7 +260,7 @@ class DcDatabase:
         rows = self._conn.execute(
             "SELECT report_id, payload FROM uplink_backlog ORDER BY seq"
         ).fetchall()
-        return [(rid, json.loads(p)) for rid, p in rows]
+        return [(rid, _load_object("uplink_backlog", p)) for rid, p in rows]
 
     def uplink_count(self) -> int:
         """Persisted backlog size."""

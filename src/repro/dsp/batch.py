@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.common.errors import MprosError
-from repro.dsp.fft import Spectrum, segment_starts
-from repro.dsp.plan import fast_fft_len, get_plan
+from repro.dsp.fft import Spectrum, welch_segments
+from repro.dsp.plan import fast_fft_len, get_plan, work_buffer
 
 
 def _as_batch(signals: np.ndarray) -> np.ndarray:
@@ -117,9 +117,7 @@ def batch_averaged_spectrum(
         raise MprosError(f"signal too short ({n}) for {n_averages} averages")
     block = fast_fft_len(block)
     step = max(1, int(block * (1 - overlap)))
-    starts = segment_starts(n, block, step, n_averages)
-    idx = np.add.outer(np.asarray(starts), np.arange(block))
-    segs = x[:, idx]  # (m, n_seg, block)
+    segs = welch_segments(x, block, step, n_averages)  # (m, n_seg, block)
     plan = get_plan(block, window, sample_rate)
     amps = plan.amplitudes(segs).mean(axis=1)
     return SpectrumBatch(freqs=plan.freqs, amps=amps, sample_rate=sample_rate)
@@ -187,7 +185,9 @@ def batch_envelope_spectrum(
         if idx.size >= 8:
             k0, k1 = int(idx[0]), int(idx[-1]) + 1
             m = k1 - k0
-            spec = np.fft.rfft(x, axis=-1)[:, k0:k1]
+            # A view of scratch: read once, by ``spec * weights`` below.
+            full = work_buffer(x.shape[:-1] + (n // 2 + 1,), np.complex128)
+            spec = np.fft.rfft(x, axis=-1, out=full)[:, k0:k1]
             # Analytic-signal weights: positive frequencies doubled, DC
             # and Nyquist (if inside the band) not.
             weights = np.full(m, 2.0)

@@ -8,6 +8,7 @@ spectrum type carries enough metadata to index by order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,17 +63,22 @@ class Spectrum:
                 return 0.0
             return float(self.amps[mask].max())
         # Bins are uniform, so only a small index window can match —
-        # O(tolerance) instead of a mask over the whole spectrum (rule
-        # evaluation makes dozens of these lookups per analysis).
-        lo = max(int(np.floor((freq - half_width) / res)) - 1, 0)
-        hi = min(int(np.ceil((freq + half_width) / res)) + 2, self.freqs.size)
+        # O(tolerance) plain-float work instead of a mask over the whole
+        # spectrum (rule evaluation makes dozens of these lookups per
+        # analysis).
+        lo = max(math.floor((freq - half_width) / res) - 1, 0)
+        hi = min(math.ceil((freq + half_width) / res) + 2, self.freqs.size)
         if hi <= lo:
             return 0.0
-        window = self.freqs[lo:hi]
-        mask = np.abs(window - freq) <= half_width
-        if not mask.any():
+        hits = [
+            a
+            for f, a in zip(self.freqs[lo:hi].tolist(), self.amps[lo:hi].tolist())
+            if abs(f - freq) <= half_width
+        ]
+        if not hits:
             return 0.0
-        return float(self.amps[lo:hi][mask].max())
+        # NaN propagates, as numpy's max would.
+        return math.nan if any(map(math.isnan, hits)) else max(hits)
 
     def band_amplitude(self, lo: float, hi: float) -> float:
         """RSS amplitude over the [lo, hi) Hz band."""
@@ -125,22 +131,23 @@ def averaged_spectrum(
         raise MprosError(f"signal too short ({x.size}) for {n_averages} averages")
     block = fast_fft_len(block)
     step = max(1, int(block * (1 - overlap)))
-    starts = segment_starts(x.size, block, step, n_averages)
     # All segments go through one stacked FFT instead of a Python loop
     # of per-segment Spectrum objects.
-    segs = x[np.add.outer(np.asarray(starts), np.arange(block))]
+    segs = welch_segments(x, block, step, n_averages)
     plan = get_plan(block, window, sample_rate)
     amps = plan.amplitudes(segs).mean(axis=0)
     return Spectrum(freqs=plan.freqs, amps=amps, sample_rate=sample_rate)
 
 
-def segment_starts(n: int, block: int, step: int, n_averages: int) -> list[int]:
-    """Segment start offsets used by Welch averaging (shared with the
-    batched implementation so both split signals identically)."""
-    starts = list(range(0, n - block + 1, step))[:n_averages]
-    if not starts:
-        raise MprosError(f"signal too short ({n}) for block {block}")
-    return starts
+def welch_segments(
+    x: np.ndarray, block: int, step: int, n_averages: int
+) -> np.ndarray:
+    """The first ``n_averages`` segments of ``block`` samples, ``step``
+    apart, along the last axis: a ``(..., n_seg, block)`` strided view,
+    not a copy (shared with the batched implementation so both split
+    signals identically).  Needs ``block <= x.shape[-1]``."""
+    windows = np.lib.stride_tricks.sliding_window_view(x, block, axis=-1)
+    return windows[..., ::step, :][..., :n_averages, :]
 
 
 def estimate_shaft_speed(

@@ -10,10 +10,17 @@ built once per ``(n, window, sample_rate)`` key and reused.
 A plan is immutable: its arrays are marked read-only so the many
 :class:`~repro.dsp.fft.Spectrum` instances sharing one ``freqs`` array
 cannot corrupt each other.
+
+The windowed input and the complex spectrum of each transform are
+scratch: they go into per-thread work buffers reused across calls, since
+a fresh multi-MB array costs about as much in page faults as the FFT
+itself.  Only the returned amplitudes are freshly allocated.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +33,32 @@ from repro.common.errors import MprosError
 _MAX_PLANS = 64
 
 _PLANS: dict[tuple[int, str, float], "FftPlan"] = {}
+
+#: A scratch request larger than this is allocated per call, so one odd
+#: geometry cannot pin memory for the life of a thread.
+_MAX_WORK_BYTES = 16 << 20
+
+_WORK = threading.local()
+
+
+def work_buffer(shape: tuple[int, ...], dtype: type) -> np.ndarray:
+    """A C-contiguous scratch array of ``shape``, reused by this thread.
+
+    There is one buffer per dtype per thread; the next request for the
+    same dtype overwrites it, so callers consume the contents before
+    asking again and never return the buffer itself.
+    """
+    size = math.prod(shape)
+    dt = np.dtype(dtype)
+    if size * dt.itemsize > _MAX_WORK_BYTES:
+        return np.empty(shape, dt)
+    buffers = getattr(_WORK, "buffers", None)
+    if buffers is None:
+        buffers = _WORK.buffers = {}
+    flat = buffers.get(dt)
+    if flat is None or flat.size < size:
+        flat = buffers[dt] = np.empty(size, dt)
+    return flat[:size].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -63,9 +96,14 @@ class FftPlan:
 
         The same math as :func:`repro.dsp.fft.spectrum` applied along
         the last axis: a pure sine of amplitude A shows a peak of ≈A.
+        ``blocks`` may be any strided view; the result is a fresh array.
         """
-        spec = np.fft.rfft(blocks * self.window, axis=-1)
-        amps = self.amp_scale * np.abs(spec)
+        windowed = work_buffer(blocks.shape, np.float64)
+        np.multiply(blocks, self.window, out=windowed)
+        spec = work_buffer(blocks.shape[:-1] + (self.n // 2 + 1,), np.complex128)
+        np.fft.rfft(windowed, axis=-1, out=spec)
+        amps = np.abs(spec)
+        amps *= self.amp_scale
         amps[..., 0] /= 2.0  # DC is not doubled
         return amps
 

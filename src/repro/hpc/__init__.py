@@ -7,7 +7,7 @@ embedded processors, and critical high performance computing needs."
 
 This package quantifies and exercises those loads: fleet data-rate
 accounting, chunked vectorized feature pipelines (single-pass,
-allocation-free per the HPC guides), a multiprocessing DC farm, and
+allocation-free per the HPC guides), a multiprocessing DC replay farm, and
 embedded resource budgets for the SBFR footprint/cycle claims.
 """
 
@@ -16,10 +16,8 @@ from repro.hpc.datarates import FleetConfig, fleet_data_rate, LoadGenerator
 from repro.hpc.parallel import (
     DcReplaySpec,
     merge_fleet_reports,
-    parallel_feature_extraction,
     replay_dc,
     replay_fleet,
-    serial_feature_extraction,
 )
 from repro.hpc.pipeline import ChannelSummary, FeaturePipeline
 
@@ -33,8 +31,6 @@ __all__ = [
     "merge_fleet_reports",
     "replay_dc",
     "replay_fleet",
-    "parallel_feature_extraction",
-    "serial_feature_extraction",
     "ChannelSummary",
     "FeaturePipeline",
 ]

@@ -1,17 +1,12 @@
 """Multiprocessing DC farm.
 
 One physical DC is a single embedded CPU, but the PDME-side replay of a
-whole ship (hundreds of DCs) benefits from process parallelism.  Two
-farms live here:
-
-* feature extraction — map (n_blocks, n_channels, n_samples) chunks
-  over a process pool;
-* whole-DC replay — :class:`DcReplaySpec` describes one DC's scenario
-  (machines, schedules, faults, seeds) and :func:`replay_fleet` runs
-  many specs serially or across a pool.  DCs share nothing (each spec
-  derives its own RNG streams and builds its own kernel), so the merged
-  report stream is bit-identical either way — property the golden tests
-  pin down.
+whole ship (hundreds of DCs) benefits from process parallelism.
+:class:`DcReplaySpec` describes one DC's scenario (machines, schedules,
+faults, seeds) and :func:`replay_fleet` runs many specs serially or
+across a pool.  DCs share nothing (each spec derives its own RNG streams
+and builds its own kernel), so the merged report stream is bit-identical
+either way — property the golden tests pin down.
 
 Workers are module-level functions so they pickle cleanly.
 """
@@ -21,57 +16,9 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.common.errors import MprosError
-from repro.hpc.pipeline import FeaturePipeline
 from repro.protocol.report import FailurePredictionReport
 
-_BANDS = ((0.0, 500.0), (500.0, 2000.0), (2000.0, 8000.0))
-
-
-def _summarize_chunk(args: tuple[np.ndarray, float]) -> np.ndarray:
-    """Worker: reduce a (n_blocks, n_channels, n_samples) chunk to a
-    (n_blocks, n_channels, 3 + n_bands) feature tensor."""
-    chunk, sample_rate = args
-    n_blocks, n_channels, n_samples = chunk.shape
-    pipeline = FeaturePipeline(n_channels, n_samples, sample_rate, _BANDS)
-    out = np.empty((n_blocks, n_channels, 3 + len(_BANDS)))
-    for i in range(n_blocks):
-        s = pipeline.process(chunk[i])
-        out[i, :, 0] = s.rms
-        out[i, :, 1] = s.peak
-        out[i, :, 2] = s.crest
-        out[i, :, 3:] = s.band_energy
-    return out
-
-
-def serial_feature_extraction(
-    blocks: np.ndarray, sample_rate: float
-) -> np.ndarray:
-    """Reference single-process reduction of (n_blocks, n_ch, n_s)."""
-    return _summarize_chunk((np.asarray(blocks, dtype=np.float64), sample_rate))
-
-
-def parallel_feature_extraction(
-    blocks: np.ndarray, sample_rate: float, n_workers: int = 2
-) -> np.ndarray:
-    """Reduce blocks across a process pool; identical output to
-    :func:`serial_feature_extraction` (order preserved)."""
-    blocks = np.asarray(blocks, dtype=np.float64)
-    if blocks.ndim != 3:
-        raise MprosError("blocks must be (n_blocks, n_channels, n_samples)")
-    if n_workers < 1:
-        raise MprosError("n_workers must be >= 1")
-    if n_workers == 1 or blocks.shape[0] < 2:
-        return serial_feature_extraction(blocks, sample_rate)
-    chunks = np.array_split(blocks, n_workers)
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        parts = list(pool.map(_summarize_chunk, [(c, sample_rate) for c in chunks if c.size]))
-    return np.concatenate(parts, axis=0)
-
-
-# -- whole-DC replay ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class DcReplaySpec:

@@ -1,12 +1,12 @@
 """Chunked, vectorized feature pipelines.
 
 The DC must reduce raw sample streams to scalar indicators (RMS, peak,
-crest, band energies) fast enough to keep up with acquisition.  The
-pipeline processes whole (n_channels, n_samples) blocks with a handful
-of vectorized passes and writes results into pre-allocated output
-arrays — the "vectorize, avoid copies, in-place" discipline from the
-HPC guides, measurable against a naive per-channel loop in
-``benchmarks/bench_data_rates.py``.
+crest) fast enough to keep up with acquisition.  The pipeline processes
+whole (n_channels, n_samples) blocks with a handful of vectorized passes
+and writes results into pre-allocated output arrays — the "vectorize,
+avoid copies, in-place" discipline from the HPC guides.  Spectral
+features come from :mod:`repro.dsp`, computed once per scan for the
+rules that read them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class ChannelSummary:
     rms: np.ndarray
     peak: np.ndarray
     crest: np.ndarray
-    band_energy: np.ndarray   # (n_channels, n_bands)
 
 
 class FeaturePipeline:
@@ -37,9 +36,7 @@ class FeaturePipeline:
     n_channels / block_samples:
         Fixed block geometry (buffers are pre-allocated for it).
     sample_rate:
-        For the band-energy bins.
-    bands:
-        (lo, hi) Hz band edges for the band-energy outputs.
+        Sampling rate of the blocks in Hz.
     """
 
     def __init__(
@@ -47,7 +44,6 @@ class FeaturePipeline:
         n_channels: int,
         block_samples: int,
         sample_rate: float,
-        bands: tuple[tuple[float, float], ...] = ((0.0, 500.0), (500.0, 2000.0), (2000.0, 8000.0)),
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if n_channels < 1 or block_samples < 8:
@@ -57,17 +53,11 @@ class FeaturePipeline:
         self.n_channels = n_channels
         self.block_samples = block_samples
         self.sample_rate = sample_rate
-        self.bands = bands
-        freqs = np.fft.rfftfreq(block_samples, d=1.0 / sample_rate)
-        self._band_masks = np.vstack(
-            [(freqs >= lo) & (freqs < hi) for lo, hi in bands]
-        )
         # Pre-allocated work and output buffers.
         self._sq = np.empty((n_channels, block_samples))
         self._rms = np.empty(n_channels)
         self._peak = np.empty(n_channels)
         self._crest = np.empty(n_channels)
-        self._band = np.empty((n_channels, len(bands)))
         self.blocks_processed = 0
         self.points_processed = 0
         reg = metrics if metrics is not None else default_registry()
@@ -87,45 +77,15 @@ class FeaturePipeline:
         np.square(block, out=self._sq)
         np.mean(self._sq, axis=1, out=self._rms)
         np.sqrt(self._rms, out=self._rms)
-        np.max(np.abs(block), axis=1, out=self._peak)
+        np.abs(block, out=self._sq)
+        np.max(self._sq, axis=1, out=self._peak)
         np.divide(
             self._peak,
             np.where(self._rms > 0, self._rms, 1.0),
             out=self._crest,
         )
-        spec = np.fft.rfft(block, axis=1)
-        power = np.abs(spec) ** 2
-        # (n_channels, n_freqs) @ (n_freqs, n_bands) — one matmul for
-        # every band of every channel.
-        self._band[:] = power @ self._band_masks.T.astype(np.float64)
-        self._band /= self.block_samples**2
         self.blocks_processed += 1
         self.points_processed += block.size
         self._m_blocks.inc()
         self._m_points.inc(block.size)
-        return ChannelSummary(
-            rms=self._rms, peak=self._peak, crest=self._crest, band_energy=self._band
-        )
-
-
-def naive_process(
-    block: np.ndarray, sample_rate: float, bands: tuple[tuple[float, float], ...]
-) -> ChannelSummary:
-    """Per-channel Python-loop reference implementation (the ablation
-    baseline: same outputs, no batching, fresh allocations)."""
-    n_channels, n_samples = block.shape
-    rms = np.empty(n_channels)
-    peak = np.empty(n_channels)
-    crest = np.empty(n_channels)
-    band = np.empty((n_channels, len(bands)))
-    freqs = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate)
-    for c in range(n_channels):
-        x = block[c]
-        rms[c] = np.sqrt(np.mean(x**2))
-        peak[c] = np.max(np.abs(x))
-        crest[c] = peak[c] / rms[c] if rms[c] > 0 else 0.0
-        power = np.abs(np.fft.rfft(x)) ** 2
-        for b, (lo, hi) in enumerate(bands):
-            mask = (freqs >= lo) & (freqs < hi)
-            band[c, b] = power[mask].sum() / n_samples**2
-    return ChannelSummary(rms=rms, peak=peak, crest=crest, band_energy=band)
+        return ChannelSummary(rms=self._rms, peak=self._peak, crest=self._crest)

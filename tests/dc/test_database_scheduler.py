@@ -1,9 +1,13 @@
+import json
+import sqlite3
+
 import pytest
 
 from repro.common.errors import MprosError, SchedulingError
 from repro.dc import DcDatabase, EventScheduler
 from repro.netsim import EventKernel
 from repro.protocol import FailurePredictionReport, PrognosticVector
+from repro.protocol.wire import encode_report
 
 
 def make_report(machine="m1", t=1.0):
@@ -70,6 +74,73 @@ def test_reports_roundtrip():
     assert db.report_count() == 2
     got = db.reports_for("m1")
     assert got == [r]
+
+
+# -- corrupt rows: the on-disk JSON is a trust boundary ------------------------------
+
+def _db_with_rows(tmp_path, sql, rows):
+    """A file-backed database whose rows were written by hand, past the
+    typed API (a damaged or edited file)."""
+    path = tmp_path / "dc.sqlite"
+    DcDatabase(path).close()
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.executemany(sql, rows)
+    conn.close()
+    return DcDatabase(path)
+
+
+@pytest.mark.parametrize(
+    "config",
+    ['{"shaft_hz": NaN}', '{"shaft_hz": Infinity}', '{"shaft_hz": -Infinity}',
+     '{"shaft_hz": 59.3', "[59.3]", "\"59.3\""],
+)
+def test_machine_config_rejects_corrupt_row(tmp_path, config):
+    db = _db_with_rows(
+        tmp_path, "INSERT INTO machinery VALUES (?, ?, ?)", [("m1", "Motor 1", config)]
+    )
+    with pytest.raises(MprosError, match="machinery"):
+        db.machine_config("m1")
+    db.close()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        json.dumps(encode_report(make_report())).replace('"severity": 0.5', '"severity": NaN'),
+        json.dumps(encode_report(make_report())).replace('"timestamp": 1.0', '"timestamp": Infinity'),
+        json.dumps(encode_report(make_report()))[:-1],
+        json.dumps({"v": 1}),
+        json.dumps(encode_report(make_report())).replace('"severity": 0.5', '"severity": 2.5'),
+        "null",
+    ],
+)
+def test_reports_for_rejects_corrupt_row(tmp_path, payload):
+    good = json.dumps(encode_report(make_report()))
+    db = _db_with_rows(
+        tmp_path,
+        "INSERT INTO condition_reports (time_s, machine_id, payload) VALUES (?, ?, ?)",
+        [(1.0, "m1", good), (2.0, "m1", payload)],
+    )
+    with pytest.raises(MprosError, match="condition_reports"):
+        db.reports_for("m1")
+    db.close()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    ['{"report_id": "dc:0#1", "severity": NaN}', '{"belief": -Infinity}',
+     '{"report_id": ', "[1, 2]"],
+)
+def test_uplink_rows_rejects_corrupt_row(tmp_path, payload):
+    db = _db_with_rows(
+        tmp_path,
+        "INSERT INTO uplink_backlog (report_id, payload) VALUES (?, ?)",
+        [("dc:0#0", '{"report_id": "dc:0#0"}'), ("dc:0#1", payload)],
+    )
+    with pytest.raises(MprosError, match="uplink_backlog"):
+        db.uplink_rows()
+    db.close()
 
 
 # -- scheduler --------------------------------------------------------------------
