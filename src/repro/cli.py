@@ -462,11 +462,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"serving {written} reports on http://{host}:{port} {tail}",
               flush=True)
         try:
-            if args.max_requests is not None:
-                for _ in range(args.max_requests):
-                    server.handle_request()
-            else:
-                server.serve_forever()
+            server.serve_requests(args.max_requests)
         except KeyboardInterrupt:
             pass
         finally:

@@ -24,6 +24,7 @@ out-of-order handling in the prognostic path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Collection
 
 from repro.common.errors import MprosError
 from repro.common.ids import ObjectId
@@ -83,10 +84,20 @@ class KnowledgeFusionEngine:
 
         Returns whether the report was fused (False if rejected).
         """
-        self.stats.ingested += 1
+        try:
+            return self._fuse(report)
+        finally:
+            # Published only once the report's state is in place: a
+            # reader that sees the new watermark or fusion "now" also
+            # sees what this report fused.
+            self._max_seen_time = max(self._max_seen_time, report.timestamp)
+            self.stats.ingested += 1
+
+    def _fuse(self, report: FailurePredictionReport) -> bool:
         self._m_ingested.inc()
-        self._max_seen_time = max(self._max_seen_time, report.timestamp)
-        self._m_age.observe(self._max_seen_time - report.timestamp)
+        self._m_age.observe(
+            max(self._max_seen_time, report.timestamp) - report.timestamp
+        )
         diagnostic = report.belief > 0.0
         prognostic = len(report.prognostic) > 0
         if not (diagnostic or prognostic):
@@ -134,7 +145,9 @@ class KnowledgeFusionEngine:
         are guaranteed equal — the key the gateway's versioned snapshot
         cache uses.  Rejected reports still advance the watermark
         (cheaper than proving a reject changed nothing, and a spurious
-        cache miss is only a wasted recompute).
+        cache miss is only a wasted recompute).  A report counts only
+        once it is fused, so a reader holding the new watermark never
+        reads the state from before it.
         """
         return self.stats.ingested
 
@@ -142,12 +155,16 @@ class KnowledgeFusionEngine:
         """Delegates to :meth:`DiagnosticFusion.suspects`."""
         return self.diagnostic.suspects(threshold)
 
-    def fused_snapshot(self, as_of: float | None = None) -> dict:
+    def fused_snapshot(
+        self, as_of: float | None = None, objects: Collection[ObjectId] | None = None
+    ) -> dict:
         """The complete fused model as a plain JSON-ready dict.
 
         Every (object, group) diagnostic state and every (object,
         condition) prognostic curve, evaluated at ``as_of`` (default:
-        the latest report timestamp seen by *this* engine).
+        the latest report timestamp seen by *this* engine).  With
+        ``objects``, only the pairs of those objects — the same entries
+        the full snapshot holds for them.
 
         Serialize with
         :func:`repro.protocol.canonical.canonical_dumps` for a
@@ -158,8 +175,33 @@ class KnowledgeFusionEngine:
         merged snapshot independent of the shard count.
         """
         t = as_of if as_of is not None else self._max_seen_time
+        prognostic: dict[str, dict] = {}
+        for obj, cond in self.prognostic.keys():
+            if objects is not None and obj not in objects:
+                continue
+            s = self.prognostic.state(obj, cond, t)
+            prognostic[f"{obj}|{cond}"] = {
+                "report_count": s.report_count,
+                "curve": [[float(kt), float(kp)] for kt, kp in s.vector.to_pairs()],
+            }
+        return {
+            "as_of": t,
+            "diagnostic": self.fused_diagnostic(objects),
+            "prognostic": prognostic,
+        }
+
+    def fused_diagnostic(
+        self, objects: Collection[ObjectId] | None = None
+    ) -> dict[str, dict]:
+        """The ``"diagnostic"`` part of :meth:`fused_snapshot` alone.
+
+        Diagnostic state does not depend on the evaluation time, and
+        reading it runs no prognostic fusion — the alarm list's read.
+        """
         diagnostic: dict[str, dict] = {}
         for obj, gname in self.diagnostic.keys():
+            if objects is not None and obj not in objects:
+                continue
             s = self.diagnostic.state(obj, gname)
             diagnostic[f"{obj}|{gname}"] = {
                 "beliefs": dict(s.beliefs),
@@ -169,18 +211,7 @@ class KnowledgeFusionEngine:
                 "report_count": s.report_count,
                 "conflict": s.conflict,
             }
-        prognostic: dict[str, dict] = {}
-        for obj, cond in self.prognostic.keys():
-            s = self.prognostic.state(obj, cond, t)
-            vec = s.vector
-            prognostic[f"{obj}|{cond}"] = {
-                "report_count": s.report_count,
-                "curve": [
-                    [float(kt), float(kp)]
-                    for kt, kp in zip(vec.times, vec.probabilities)
-                ],
-            }
-        return {"as_of": t, "diagnostic": diagnostic, "prognostic": prognostic}
+        return diagnostic
 
     def time_to_failure(
         self, sensed_object_id: ObjectId, machine_condition_id: ObjectId,

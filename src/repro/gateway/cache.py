@@ -1,21 +1,33 @@
-"""The versioned snapshot/response cache behind the gateway read path.
+"""The versioned response cache behind the gateway read path.
 
-The perf problem: every fleet-health query used to re-walk the fused
-model (``fused_snapshot()`` re-evaluates every prognostic curve at
-``as_of``) and re-serialize canonical JSON — O(fleet) work per query,
-repeated for every one of "millions of users" asking the same
-question.  The fix is not time-based expiry (wall clocks are banned in
-this tree, and staleness bugs hide behind TTLs) but *versioned keys*:
+No time-based expiry (wall clocks are banned in this tree, and
+staleness bugs hide behind TTLs): every key embeds the version of the
+state its value was derived from, so invalidation is the key changing,
+never a side effect someone can forget.
 
-* every cache key embeds the version of the state it was derived from
-  — the PDME's ``intake_watermark`` (the next global ``intake_seq``)
-  for fused state, :attr:`ShipModel.version` for entity state;
-* ingest bumps the watermark, so the next query's key simply *misses*
-  and recomputes — invalidation is a consequence of the key, never a
-  side effect someone can forget;
-* repeat queries between ingest batches are O(1) dict hits returning
-  the exact bytes the uncached path would produce (the bench asserts
-  byte-identity every run).
+What is keyed how:
+
+* fused documents — the fleet snapshot and its JSON, one object's
+  health, the alarm list — by ``(endpoint, params, as_of,
+  intake_watermark)``: the PDME's evaluation time and its count of
+  reports offered.  Object health also carries
+  :attr:`ShipModel.version`, because the part-of closure it covers is
+  entity state;
+* entity documents (one managed object, id listings) by
+  :attr:`ShipModel.version`.
+
+A write moves the watermark (and usually ``as_of``), so the next query
+of each shape misses and recomputes; repeat queries between writes are
+O(1) dict hits returning the bytes the uncached path would produce
+(the bench compares them every run).  The providers publish a new
+watermark only after the write is fused, so a key holding it is never
+built over the state from before the write.
+
+A miss need not recompute everything.  The gateway also keeps each
+fleet-document diagnostic entry's rendered text, keyed by its series
+key and checked against the entry's value, so a write re-renders only
+the diagnostic entries it changed (see
+:meth:`repro.gateway.service.FleetGateway.fleet_health_json`).
 
 Entries are LRU-evicted at ``max_entries``; superseded versions age
 out of the LRU naturally since nothing ever asks for them again.

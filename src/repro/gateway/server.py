@@ -53,6 +53,20 @@ class GatewayHTTPServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.gateway = gateway
 
+    def serve_requests(self, max_requests: int | None) -> None:
+        """Serve forever, or answer ``max_requests`` requests.
+
+        A bounded run makes its handler threads non-daemon, so
+        :meth:`server_close` waits for the last answers instead of
+        letting a process that exits next cut them off.
+        """
+        if max_requests is None:
+            self.serve_forever()
+            return
+        self.daemon_threads = False
+        for _ in range(max_requests):
+            self.handle_request()
+
 
 class _Handler(BaseHTTPRequestHandler):
     server: GatewayHTTPServer
@@ -205,11 +219,7 @@ def serve(
     """
     server = GatewayHTTPServer((host, port), gateway)
     try:
-        if max_requests is None:
-            server.serve_forever()
-        else:
-            for _ in range(max_requests):
-                server.handle_request()
+        server.serve_requests(max_requests)
     finally:
         server.server_close()
     return server

@@ -8,12 +8,15 @@ front door:
 
 * **typed resources** (:mod:`repro.gateway.resources`) over OOSM
   entities, the report log, and fused diagnostic/prognostic state;
-* **versioned snapshot caching** (:mod:`repro.gateway.cache`): every
-  response derived from fused state is keyed by ``(as_of,
-  intake_watermark)``, every response derived from entity state by
-  ``ShipModel.version`` — repeat queries during heavy ingest are O(1)
-  dict hits, and invalidation is the key changing, driven by the same
-  OOSM event/watermark machinery ingest already maintains;
+* **versioned caching** (:mod:`repro.gateway.cache`): fused
+  documents are keyed by ``(as_of, intake_watermark)``, entity
+  documents by ``ShipModel.version``; repeat queries between writes
+  are O(1) dict hits, and invalidation is the key changing;
+* **reads in proportion to the change**: a health read asks the
+  fused provider only for the object's part-of closure (on the
+  owning shards), the alarm list reads diagnostic state alone, and
+  the fleet document re-renders only the diagnostic entries a write
+  changed, stitching the rest from their kept text;
 * **keyset pagination** (:mod:`repro.gateway.pagination`): log pages
   seek on the ``(intake_seq, row)`` index, never OFFSET;
 * **push subscriptions** riding the OOSM event bus (§4.5: "without
@@ -23,10 +26,12 @@ front door:
   single-writer discipline of the partition logs is never bypassed.
 
 Request counters and (optional) latency histograms land in
-:mod:`repro.obs` under ``gateway.*``.  Latency needs a real clock, so
-the gateway takes an injected ``timer`` callable — the bench and the
-HTTP server pass ``time.perf_counter``; library use leaves it None and
-pays nothing.  The gateway itself never reads a wall clock.
+:mod:`repro.obs` under ``gateway.*``: every request is counted and
+timed once under its own endpoint, cache hits included.  Latency needs
+a real clock, so the gateway takes an injected ``timer`` callable — the
+bench and the HTTP server pass ``time.perf_counter``; library use
+leaves it None and pays nothing.  The gateway itself never reads a
+wall clock.
 """
 
 from __future__ import annotations
@@ -54,11 +59,11 @@ from repro.gateway.resources import (
     Report,
     Subscription,
 )
-from repro.obs.registry import MetricsRegistry, default_registry
+from repro.obs.registry import Counter, MetricsRegistry, default_registry
 from repro.oosm.events import ReportBatchPosted, ReportPosted
 from repro.oosm.model import ShipModel
 from repro.oosm.persistence import PageRow, ReportStore
-from repro.protocol.canonical import canonical_dumps
+from repro.protocol.canonical import Canonical, canonical_dumps
 from repro.protocol.report import FailurePredictionReport
 from repro.protocol.wire import decode_report
 
@@ -72,6 +77,10 @@ REQUEST_LATENCY_EDGES: tuple[float, ...] = (
 )
 
 
+def _no_latency() -> None:
+    """The latency observer when no timer is attached."""
+
+
 class FleetGateway:
     """The typed, cached, paginated serving layer.
 
@@ -81,11 +90,13 @@ class FleetGateway:
         The OOSM holding entities/relationships (and, for the
         single-process deployment, the retained report list).
     fused:
-        Fused-state provider: anything with ``fused_snapshot(as_of)``
-        and ``intake_watermark`` — a
+        Fused-state provider: anything with ``fused_snapshot(as_of,
+        objects=None)``, ``fused_diagnostic(objects=None)``,
+        ``intake_watermark`` and ``as_of`` (or ``max_seen_time``) — a
         :class:`~repro.fusion.engine.KnowledgeFusionEngine`, a
         :class:`~repro.pdme.shard.ShardedPdme`, or the in-process
-        :class:`~repro.pdme.shard.ShardedFusionEngine`.
+        :class:`~repro.pdme.shard.ShardedFusionEngine`.  It must
+        publish a new watermark only once the write is fused.
     replica:
         Optional :class:`ReadReplica` for log reads that must not
         contend with ingest (the sharded deployment).
@@ -127,10 +138,16 @@ class FleetGateway:
         self._m_latency = self.metrics.histogram(
             "gateway.request_seconds", edges=REQUEST_LATENCY_EDGES
         )
+        self._m_requests: dict[str, Counter] = {}
         self._m_pushes = self.metrics.counter("gateway.subscription_pushes")
         self._m_bulk_written = self.metrics.counter("gateway.bulk_reports_written")
         self._subscriptions: dict[str, Subscription] = {}
         self._next_subscription = 0
+        #: The fleet document's rendered diagnostic entries by series
+        #: key: the entry each was rendered from and its text.
+        #: Replaced wholesale on each render, so it holds only the live
+        #: pairs.
+        self._diagnostic_texts: dict[str, tuple[dict, Canonical]] = {}
         # Push fan-out rides the OOSM event model: one bus handler per
         # event class, delivering to matching subscriptions.
         model.bus.subscribe(ReportPosted, self._push_report)
@@ -138,10 +155,19 @@ class FleetGateway:
 
     # -- internals --------------------------------------------------------
     def _count(self, endpoint: str) -> Callable[[], None]:
-        """Count a request; returns a closure observing its latency."""
-        self.metrics.counter("gateway.requests", endpoint=endpoint).inc()
+        """Count a request; returns a closure observing its latency.
+
+        Every public endpoint calls this exactly once per request, cache
+        hits included; the bodies they share are uncounted helpers.
+        """
+        counter = self._m_requests.get(endpoint)
+        if counter is None:
+            counter = self._m_requests[endpoint] = self.metrics.counter(
+                "gateway.requests", endpoint=endpoint
+            )
+        counter.inc()
         if self._timer is None:
-            return lambda: None
+            return _no_latency
         t0 = self._timer()
         return lambda: self._m_latency.observe(max(0.0, self._timer() - t0))
 
@@ -151,8 +177,11 @@ class FleetGateway:
             return float(as_of)
         return float(self.fused.max_seen_time)
 
-    def _fused_key(self, *parts) -> tuple:
-        return (*parts, self._now(), self.fused.intake_watermark)
+    def _fused_key(self, as_of: float, *parts) -> tuple:
+        # Read as_of before the watermark: a provider publishes both
+        # only after the write is fused, so a key holding the new
+        # watermark is always built over the new state.
+        return (*parts, as_of, self.fused.intake_watermark)
 
     def _snapshot(self, as_of: float) -> dict:
         """The fused snapshot at ``as_of``, cached by the watermark."""
@@ -162,16 +191,45 @@ class FleetGateway:
             snap = self.cache.put(key, self.fused.fused_snapshot(as_of=as_of))
         return snap
 
+    def _fleet_document(self, snap: dict) -> str:
+        """Canonical bytes of ``snap``, re-rendering only the diagnostic
+        entries a write changed.
+
+        A diagnostic entry keeps its text while the entry it was
+        rendered from compares equal to the current one (its fields
+        have fixed types, so equal entries render equal text).  Every
+        write moves ``as_of`` and so every prognostic curve; that
+        section is rendered in place.  The kept texts are stitched in
+        by the same renderer, so the bytes equal
+        ``canonical_dumps(snap)``.
+        """
+        old = self._diagnostic_texts
+        texts: dict[str, tuple[dict, Canonical]] = {}
+        for series_key, entry in snap["diagnostic"].items():
+            memo = old.get(series_key)
+            if memo is None or memo[0] != entry:
+                memo = (entry, Canonical(canonical_dumps(entry)[:-1]))
+            texts[series_key] = memo
+        self._diagnostic_texts = texts
+        return canonical_dumps({
+            "as_of": snap["as_of"],
+            "diagnostic": {k: memo[1] for k, memo in texts.items()},
+            "prognostic": snap["prognostic"],
+        })
+
     # -- managed objects --------------------------------------------------
     def managed_object(self, object_id: ObjectId) -> ManagedObject:
         """One entity as a typed resource."""
         done = self._count("managed_object")
         try:
-            if object_id not in self.model:
-                raise GatewayError(f"no managed object {object_id!r}")
-            return ManagedObject.from_entity(self.model, object_id)
+            return self._managed_object(object_id)
         finally:
             done()
+
+    def _managed_object(self, object_id: ObjectId) -> ManagedObject:
+        if object_id not in self.model:
+            raise GatewayError(f"no managed object {object_id!r}")
+        return ManagedObject.from_entity(self.model, object_id)
 
     def managed_objects(
         self,
@@ -208,13 +266,18 @@ class FleetGateway:
 
     def managed_object_json(self, object_id: ObjectId) -> str:
         """Canonical bytes for one object, cached by model version."""
-        key = ("managed_object_json", object_id, self.model.version)
-        doc = self.cache.get(key)
-        if doc is None:
-            doc = self.cache.put(
-                key, canonical_dumps(self.managed_object(object_id).to_json())
-            )
-        return doc
+        done = self._count("managed_object_json")
+        try:
+            key = ("managed_object_json", object_id, self.model.version)
+            doc = self.cache.get(key)
+            if doc is None:
+                doc = self.cache.put(
+                    key,
+                    canonical_dumps(self._managed_object(object_id).to_json()),
+                )
+            return doc
+        finally:
+            done()
 
     # -- measurements -----------------------------------------------------
     def measurements(
@@ -313,11 +376,11 @@ class FleetGateway:
             as_of = self._now()
             if not use_cache:
                 return canonical_dumps(self.fused.fused_snapshot(as_of=as_of))
-            key = self._fused_key("fleet_health_json")
+            key = self._fused_key(as_of, "fleet_health_json")
             doc = self.cache.get(key)
             if doc is None:
                 doc = self.cache.put(
-                    key, canonical_dumps(self._snapshot(as_of))
+                    key, self._fleet_document(self._snapshot(as_of))
                 )
             return doc
         finally:
@@ -329,38 +392,42 @@ class FleetGateway:
         system's health reflects its constituent parts)."""
         done = self._count("health")
         try:
-            if object_id not in self.model:
-                raise GatewayError(f"no managed object {object_id!r}")
-            key = self._fused_key("health", object_id, self.model.version)
-            doc = self.cache.get(key)
-            if doc is not None:
-                return doc
-            scope = {object_id} | self.model.parts_closure_ids(object_id)
-            snap = self._snapshot(self._now())
-            doc = {
-                "object": object_id,
-                "as_of": snap["as_of"],
-                "diagnostic": {
-                    k: v
-                    for k, v in snap["diagnostic"].items()
-                    if k.split("|", 1)[0] in scope
-                },
-                "prognostic": {
-                    k: v
-                    for k, v in snap["prognostic"].items()
-                    if k.split("|", 1)[0] in scope
-                },
-            }
-            return self.cache.put(key, doc)
+            return self._health(object_id)
         finally:
             done()
 
-    def health_json(self, object_id: ObjectId) -> str:
-        key = self._fused_key("health_json", object_id, self.model.version)
+    def _health(self, object_id: ObjectId) -> dict:
+        if object_id not in self.model:
+            raise GatewayError(f"no managed object {object_id!r}")
+        as_of = self._now()
+        key = self._fused_key(as_of, "health", object_id, self.model.version)
         doc = self.cache.get(key)
-        if doc is None:
-            doc = self.cache.put(key, canonical_dumps(self.health(object_id)))
-        return doc
+        if doc is not None:
+            return doc
+        scope = {object_id} | self.model.parts_closure_ids(object_id)
+        snap = self.fused.fused_snapshot(as_of=as_of, objects=scope)
+        return self.cache.put(key, {
+            "object": object_id,
+            "as_of": snap["as_of"],
+            "diagnostic": snap["diagnostic"],
+            "prognostic": snap["prognostic"],
+        })
+
+    def health_json(self, object_id: ObjectId) -> str:
+        """Canonical bytes of :meth:`health`."""
+        done = self._count("health_json")
+        try:
+            key = self._fused_key(
+                self._now(), "health_json", object_id, self.model.version
+            )
+            doc = self.cache.get(key)
+            if doc is None:
+                doc = self.cache.put(
+                    key, canonical_dumps(self._health(object_id))
+                )
+            return doc
+        finally:
+            done()
 
     # -- alarms -----------------------------------------------------------
     def alarms(self, threshold: float = 0.5) -> tuple[Alarm, ...]:
@@ -368,41 +435,51 @@ class FleetGateway:
         ordered (object, group, condition)."""
         done = self._count("alarms")
         try:
-            key = self._fused_key("alarms", round(float(threshold), 12))
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
-            snap = self._snapshot(self._now())
-            raised = []
-            for series_key in sorted(snap["diagnostic"]):
-                state = snap["diagnostic"][series_key]
-                if state["severity"] < threshold:
-                    continue
-                obj, group = series_key.split("|", 1)
-                beliefs = state["beliefs"]
-                top = max(sorted(beliefs), key=lambda c: beliefs[c])
-                raised.append(
-                    Alarm(
-                        object_id=obj,
-                        group=group,
-                        condition_id=top,
-                        severity=state["severity"],
-                        belief=beliefs[top],
-                        status="ACTIVE",
-                    )
-                )
-            return self.cache.put(key, tuple(raised))
+            return self._alarms(threshold)
         finally:
             done()
 
+    def _alarms(self, threshold: float) -> tuple[Alarm, ...]:
+        key = self._fused_key(self._now(), "alarms", round(float(threshold), 12))
+        cached = self.cache.get(key)
+        if cached is not None:
+            return cached
+        diagnostic = self.fused.fused_diagnostic()
+        raised = []
+        for series_key in sorted(diagnostic):
+            state = diagnostic[series_key]
+            if state["severity"] < threshold:
+                continue
+            obj, group = series_key.split("|", 1)
+            beliefs = state["beliefs"]
+            top = max(sorted(beliefs), key=lambda c: beliefs[c])
+            raised.append(
+                Alarm(
+                    object_id=obj,
+                    group=group,
+                    condition_id=top,
+                    severity=state["severity"],
+                    belief=beliefs[top],
+                    status="ACTIVE",
+                )
+            )
+        return self.cache.put(key, tuple(raised))
+
     def alarms_json(self, threshold: float = 0.5) -> str:
-        key = self._fused_key("alarms_json", round(float(threshold), 12))
-        doc = self.cache.get(key)
-        if doc is None:
-            doc = self.cache.put(key, canonical_dumps(
-                {"alarms": [a.to_json() for a in self.alarms(threshold)]}
-            ))
-        return doc
+        """Canonical bytes of :meth:`alarms`."""
+        done = self._count("alarms_json")
+        try:
+            key = self._fused_key(
+                self._now(), "alarms_json", round(float(threshold), 12)
+            )
+            doc = self.cache.get(key)
+            if doc is None:
+                doc = self.cache.put(key, canonical_dumps(
+                    {"alarms": [a.to_json() for a in self._alarms(threshold)]}
+                ))
+            return doc
+        finally:
+            done()
 
     # -- subscriptions ----------------------------------------------------
     def subscribe(

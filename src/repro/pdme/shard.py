@@ -44,7 +44,7 @@ import bisect
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 from repro.common.errors import MprosError
 from repro.common.ids import ObjectId
@@ -128,6 +128,11 @@ def registry_for_plant(plant: str) -> GroupRegistry:
     raise MprosError(f"unknown plant {plant!r}; know ['chiller', 'turbine']")
 
 
+def _owning_shards(layout: ShardLayout, objects: Collection[ObjectId]) -> list[int]:
+    """The shards owning ``objects``, ascending."""
+    return sorted({layout.shard_of(obj) for obj in objects})
+
+
 def merge_snapshots(fragments: Sequence[dict], as_of: float) -> dict:
     """Merge per-shard fused snapshots into one model.
 
@@ -193,12 +198,35 @@ class ShardedFusionEngine:
             sensed_object_id, machine_condition_id, probability, now=t
         )
 
-    def fused_snapshot(self, as_of: float | None = None) -> dict:
-        """Merged fused model at one shared evaluation time."""
+    def _engines_for(
+        self, objects: Collection[ObjectId] | None
+    ) -> list[KnowledgeFusionEngine]:
+        if objects is None:
+            return self.engines
+        return [self.engines[i] for i in _owning_shards(self.layout, objects)]
+
+    def fused_snapshot(
+        self, as_of: float | None = None, objects: Collection[ObjectId] | None = None
+    ) -> dict:
+        """Merged fused model at one shared evaluation time; with
+        ``objects``, only their pairs, read from their owning shards."""
         t = as_of if as_of is not None else self.max_seen_time
         return merge_snapshots(
-            [e.fused_snapshot(as_of=t) for e in self.engines], t
+            [
+                e.fused_snapshot(as_of=t, objects=objects)
+                for e in self._engines_for(objects)
+            ],
+            t,
         )
+
+    def fused_diagnostic(
+        self, objects: Collection[ObjectId] | None = None
+    ) -> dict[str, dict]:
+        """Merged diagnostic state; no prognostic fusion runs."""
+        merged: dict[str, dict] = {}
+        for engine in self._engines_for(objects):
+            merged.update(engine.fused_diagnostic(objects))
+        return merged
 
 
 class ShardWorker:
@@ -284,10 +312,19 @@ class ShardWorker:
             self.engine.ingest_batch(fresh)
         return len(fresh)
 
-    def fused_snapshot(self, as_of: float) -> dict:
+    def fused_snapshot(
+        self, as_of: float, objects: Collection[ObjectId] | None = None
+    ) -> dict:
         """This partition's fused model at the global ``as_of``."""
         self._require_alive()
-        return self.engine.fused_snapshot(as_of=as_of)
+        return self.engine.fused_snapshot(as_of=as_of, objects=objects)
+
+    def fused_diagnostic(
+        self, objects: Collection[ObjectId] | None = None
+    ) -> dict[str, dict]:
+        """This partition's diagnostic state."""
+        self._require_alive()
+        return self.engine.fused_diagnostic(objects)
 
     @property
     def report_count(self) -> int:
@@ -416,19 +453,27 @@ class ShardedPdme:
         per: list[tuple[list, list, list]] = [
             ([], [], []) for _ in range(self.n_shards)
         ]
+        seq = self._next_seq
+        as_of = self._as_of
         for report, rid in zip(reports, ids):
-            seq = self._next_seq
-            self._next_seq += 1
-            if report.timestamp > self._as_of:
-                self._as_of = report.timestamp
+            if report.timestamp > as_of:
+                as_of = report.timestamp
             rs, rids, seqs = per[self.layout.shard_of(report.sensed_object_id)]
             rs.append(report)
             rids.append(rid)
             seqs.append(seq)
+            seq += 1
         written = 0
-        for worker, (rs, rids, seqs) in zip(self.workers, per):
-            if rs:
-                written += worker.ingest_batch(rs, rids, seqs)
+        try:
+            for worker, (rs, rids, seqs) in zip(self.workers, per):
+                if rs:
+                    written += worker.ingest_batch(rs, rids, seqs)
+        finally:
+            # Published only after every shard has persisted and fused
+            # its part (or failed): a reader that sees the new
+            # watermark never reads the state from before the batch.
+            self._as_of = as_of
+            self._next_seq = seq
         return written
 
     # -- queries ----------------------------------------------------------
@@ -445,12 +490,31 @@ class ShardedPdme:
             sensed_object_id, machine_condition_id, probability, now=t
         )
 
-    def fused_snapshot(self, as_of: float | None = None) -> dict:
-        """Merged fused model across all partitions."""
+    def _workers_for(
+        self, objects: Collection[ObjectId] | None
+    ) -> list[ShardWorker]:
+        if objects is None:
+            return self.workers
+        return [self.workers[i] for i in _owning_shards(self.layout, objects)]
+
+    def fused_snapshot(
+        self, as_of: float | None = None, objects: Collection[ObjectId] | None = None
+    ) -> dict:
+        """Merged fused model across all partitions; with ``objects``,
+        only their pairs, read from their owning shards."""
         t = as_of if as_of is not None else self._as_of
         return merge_snapshots(
-            [w.fused_snapshot(t) for w in self.workers], t
+            [w.fused_snapshot(t, objects) for w in self._workers_for(objects)], t
         )
+
+    def fused_diagnostic(
+        self, objects: Collection[ObjectId] | None = None
+    ) -> dict[str, dict]:
+        """Merged diagnostic state; no prognostic fusion runs."""
+        merged: dict[str, dict] = {}
+        for worker in self._workers_for(objects):
+            merged.update(worker.fused_diagnostic(objects))
+        return merged
 
     def canonical_fused_json(self, as_of: float | None = None) -> str:
         """Byte-stable rendering of :meth:`fused_snapshot` — the value

@@ -10,6 +10,7 @@ real behavioural change, while immune to last-ulp formatting drift.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
 from repro.protocol.report import FailurePredictionReport
@@ -47,16 +48,125 @@ def canonical_json(reports: Iterable[FailurePredictionReport]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
 
 
-def _round_tree(value):
-    if isinstance(value, float):
-        # + 0.0 folds -0.0 into 0.0 so sign-of-zero drift between two
-        # arithmetically equal pipelines cannot break byte identity.
-        return round(value, FLOAT_DECIMALS) + 0.0
-    if isinstance(value, dict):
-        return {key: _round_tree(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round_tree(v) for v in value]
-    return value
+class Canonical(str):
+    """Text already rendered by :func:`canonical_dumps`, minus its
+    trailing newline.
+
+    The renderer emits a ``Canonical`` value verbatim, indented to
+    where it sits, instead of quoting it as a string.  A document
+    whose parts rarely change can keep each part's text and render
+    only the parts that did: the output is byte-identical to rendering
+    the parts' trees in place.
+    """
+
+    __slots__ = ()
+
+
+_INF = float("inf")
+_float_repr = float.__repr__
+
+
+def _float_text(value: float) -> str:
+    # + 0.0 folds -0.0 into 0.0 so sign-of-zero drift between two
+    # arithmetically equal pipelines cannot break byte identity.
+    value = round(value, FLOAT_DECIMALS) + 0.0
+    if -_INF < value < _INF:
+        return _float_repr(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0.0 else "-Infinity"
+
+
+def _key_text(key) -> str:
+    # Dict keys are not rounded; non-string keys are named the way the
+    # stdlib encoder names them.
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, float):
+        if key != key:
+            return '"NaN"'
+        if key == _INF:
+            return '"Infinity"'
+        if key == -_INF:
+            return '"-Infinity"'
+        return _quote(_float_repr(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return _quote(int.__repr__(key))
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+    )
+
+
+def _render(value, nl: str, out: list[str]) -> None:
+    """Append ``value``'s text to ``out``; ``nl`` is the newline plus
+    indentation of the line ``value`` starts on."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            out.append(
+                sep + (_quote(key) if type(key) is str else _key_text(key)) + ": "
+            )
+            if type(item) is float:
+                out.append(_float_text(item))
+            else:
+                _render(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in value:
+            if type(item) is float:
+                out.append(sep + _float_text(item))
+            else:
+                out.append(sep)
+                _render(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif kind is float:
+        out.append(_float_text(value))
+    elif kind is str:
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is Canonical:
+        out.append(value.replace("\n", nl))
+    # Subclasses, None and bools: the stdlib encoder's order of checks.
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        _render(list(value), nl, out)
+    elif isinstance(value, dict):
+        _render(dict(value), nl, out)
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable"
+        )
 
 
 def canonical_dumps(doc) -> str:
@@ -64,11 +174,18 @@ def canonical_dumps(doc) -> str:
 
     The generalization of :func:`canonical_json` used by the fused-model
     snapshots: every float in the tree is rounded to
-    :data:`FLOAT_DECIMALS`, keys are sorted, output is ASCII.  Two
-    pipelines that compute the same values — e.g. a single fusion
-    engine and N sharded engines over the same report stream — produce
-    the same bytes.
+    :data:`FLOAT_DECIMALS`, keys are sorted, output is ASCII with a
+    two-space indent.  Two pipelines that compute the same values —
+    e.g. a single fusion engine and N sharded engines over the same
+    report stream — produce the same bytes.
+
+    One recursive pass rounds and writes.  The output is exactly
+    ``json.dumps(tree, indent=2, sort_keys=True, ensure_ascii=True)``
+    of the tree with every float rounded and ``-0.0`` folded to
+    ``0.0``, plus a trailing newline; the tests hold it to that form.
+    :class:`Canonical` parts are emitted as they are.
     """
-    return json.dumps(
-        _round_tree(doc), indent=2, sort_keys=True, ensure_ascii=True
-    ) + "\n"
+    out: list[str] = []
+    _render(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)

@@ -219,21 +219,22 @@ class PrognosticVector:
         """
         if dt == 0 or len(self) == 0:
             return self
+        # One pass: the shifted times are already in order, so a clamp
+        # or a rounding that makes two equal only ever meets the last
+        # kept knot, which keeps its time and takes the running max.
         pairs: list[tuple[float, float]] = []
-        for p in self._points:
-            pairs.append((max(0.0, p.time - dt), p.probability))
-        # Clamping can create duplicate zero times; keep the max prob.
-        dedup: dict[float, float] = {}
-        for t, pr in pairs:
-            dedup[t] = max(dedup.get(t, 0.0), pr)
-        out = sorted(dedup.items())
-        # Enforce monotone probabilities after dedup.
-        mono: list[tuple[float, float]] = []
         running = 0.0
-        for t, pr in out:
-            running = max(running, pr)
-            mono.append((t, running))
-        return PrognosticVector._trusted(mono)
+        for p in self._points:
+            t = p.time - dt
+            if not t > 0.0:
+                t = 0.0
+            if p.probability > running:
+                running = p.probability
+            if pairs and pairs[-1][0] == t:
+                pairs[-1] = (pairs[-1][0], running)
+            else:
+                pairs.append((t, running))
+        return PrognosticVector._trusted(pairs)
 
     def to_pairs(self) -> list[tuple[float, float]]:
         """Plain ``[(time, probability), ...]`` list (wire form)."""

@@ -129,6 +129,43 @@ def test_serve_handles_bounded_requests_then_returns(fleet, gateway):
     assert results == [200]
 
 
+def test_bounded_serve_returns_only_after_its_last_answer(fleet, gateway):
+    """A bounded run's last request may still be rendering when the
+    accept loop ends; serve() must wait for it, or a process exiting
+    next cuts the answer off."""
+    server = GatewayHTTPServer(("127.0.0.1", 0), gateway)
+    port = server.server_address[1]
+    answered = threading.Event()
+    render = gateway.fleet_health_json
+
+    def slow_fleet_health_json(*args, **kwargs):
+        threading.Event().wait(0.3)
+        try:
+            return render(*args, **kwargs)
+        finally:
+            answered.set()
+
+    gateway.fleet_health_json = slow_fleet_health_json
+    results = []
+
+    def client():
+        with urllib.request.urlopen(
+            f"http://127.0.0.1:{port}/fleet/health", timeout=10
+        ) as resp:
+            results.append(resp.status)
+
+    t = threading.Thread(target=client, daemon=True)
+    t.start()
+    try:
+        server.serve_requests(1)
+    finally:
+        server.server_close()
+    assert answered.is_set()
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert results == [200]
+
+
 def test_bulk_post_writes_through_router(http_fleet):
     fleet, gateway, base = http_fleet
     _, pdme, reports, ids = fleet

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import GatewayError
-from repro.gateway import FleetGateway, gateway_for_executive
+from repro.gateway import FleetGateway, gateway_for_executive, gateway_for_sharded
 from repro.obs.registry import MetricsRegistry
 
 
@@ -149,13 +149,76 @@ def test_unknown_object_and_missing_backends_raise(fleet, gateway):
         bare.post_reports([], [])
 
 
-def test_request_metrics_accumulate(gateway):
+def test_request_metrics_accumulate(fleet):
+    model, pdme, reports, _ = fleet
+    ticks = iter(range(10**6))
+    gateway = gateway_for_sharded(
+        model, pdme, metrics=MetricsRegistry(), timer=lambda: float(next(ticks))
+    )
+    first = _first_object(reports)
     gateway.fleet_health()
     gateway.fleet_health()
     gateway.alarms(0.5)
-    counters = gateway.metrics.snapshot()["counters"]
+    # The second call of each pair is a cache hit: still one request,
+    # counted and timed once, under its own endpoint.
+    for _ in range(2):
+        gateway.health_json(first)
+        gateway.alarms_json(0.5)
+        gateway.managed_object_json(first)
+        gateway.fleet_health_json()
+    snap = gateway.metrics.snapshot()
+    counters = snap["counters"]
     assert counters["gateway.requests{endpoint=fleet_health}"] == 2
     assert counters["gateway.requests{endpoint=alarms}"] == 1
+    for endpoint in (
+        "health_json", "alarms_json", "managed_object_json", "fleet_health_json"
+    ):
+        assert counters[f"gateway.requests{{endpoint={endpoint}}}"] == 2
+    # The shared bodies are not counted a second time.
+    assert "gateway.requests{endpoint=health}" not in counters
+    assert "gateway.requests{endpoint=managed_object}" not in counters
+    requests = sum(
+        v for k, v in counters.items() if k.startswith("gateway.requests{")
+    )
+    assert requests == 11
+    assert snap["histograms"]["gateway.request_seconds"]["count"] == requests
+
+
+def test_read_inside_an_engine_ingest_never_pins_pre_write_state(workload):
+    """The single-engine deployment publishes its watermark only after
+    a report is fused, like the sharded router."""
+    reports, _ = workload
+    executive = _build_executive(reports[:50])
+    gw = gateway_for_executive(executive, metrics=MetricsRegistry())
+    engine = executive.engine
+    first = reports[0].sensed_object_id
+    real = engine.diagnostic.ingest
+    seen: list[str] = []
+
+    def ingest_with_a_read(report):
+        seen.append(gw.fleet_health_json())
+        return real(report)
+
+    engine.diagnostic.ingest = ingest_with_a_read
+    try:
+        gw.post_reports([_fresh_report(reports[0], first, engine.max_seen_time + 10.0)])
+    finally:
+        engine.diagnostic.ingest = real
+    assert seen
+    assert gw.fleet_health_json() == gw.fleet_health_json(use_cache=False)
+    assert gw.fleet_health_json() != seen[0]
+
+
+def _fresh_report(template, object_id, timestamp):
+    return template.__class__(
+        knowledge_source_id="ks:gw",
+        sensed_object_id=object_id,
+        machine_condition_id="mc:oil-contamination",
+        severity=0.95,
+        belief=0.9,
+        timestamp=timestamp,
+        dc_id="dc:gw",
+    )
 
 
 def test_executive_deployment_serves_and_accepts_writes(workload):

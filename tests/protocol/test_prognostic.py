@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -217,3 +218,61 @@ def test_validator_matches_numpy_rule(pairs):
         with pytest.raises(ProtocolError) as exc:
             PrognosticVector.from_pairs(pairs)
         assert str(exc.value) == want
+
+
+def _shifted_by_loop(v, dt):
+    """``shifted`` as first written — clamp, dedup through a dict, sort,
+    running max — kept as the oracle for its one-pass form."""
+    if dt == 0 or len(v) == 0:
+        return v.to_pairs()
+    pairs = [(max(0.0, p.time - dt), p.probability) for p in v]
+    dedup: dict[float, float] = {}
+    for t, pr in pairs:
+        dedup[t] = max(dedup.get(t, 0.0), pr)
+    mono = []
+    running = 0.0
+    for t, pr in sorted(dedup.items()):
+        running = max(running, pr)
+        mono.append((t, running))
+    return mono
+
+
+def _bits(pairs):
+    return [
+        (type(t), struct.pack("<d", t), type(p), struct.pack("<d", p))
+        for t, p in pairs
+    ]
+
+
+# Mostly small shifts (nothing clamps), some that clamp, and negative
+# ones that can merge adjacent knots by rounding.
+_shifts = st.one_of(
+    st.floats(min_value=0.0, max_value=5e3),
+    st.floats(min_value=0.0, max_value=1e9),
+    st.floats(min_value=-1e9, max_value=0.0),
+    st.sampled_from([0.0, -0.0, 1.0, 3600.0, -1.0]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(v=prognostic_vectors(), dt=_shifts)
+def test_shifted_is_bitwise_the_loop(v, dt):
+    assert _bits(v.shifted(dt).to_pairs()) == _bits(_shifted_by_loop(v, dt))
+
+
+@pytest.mark.parametrize(
+    "pairs, dt",
+    [
+        ([(10.0, 0.0), (20.0, 0.5)], 1.0),  # zero first probability
+        ([(10.0, -0.0), (20.0, 0.5)], 1.0),  # the loop folds -0.0
+        ([(10.0, 0), (20.0, 0.5)], 1.0),  # ... and an int zero
+        ([(10.0, 0.2), (20.0, 0.5)], 10.0),  # first knot lands on 0
+        ([(10, 0.2), (20, 0.5)], 10),  # ... as an int, stored as 0.0
+        ([(10.0, 0.2), (20.0, 0.5)], 15.0),  # first knot clamps
+        ([(1.0, 0.2), (1.0 + 2**-52, 0.5)], -1.0),  # knots merge
+        ([(3600.0, 0.1), (7200.0, 0.3), (86400.0, 0.9)], 0.25),
+    ],
+)
+def test_shifted_edges_match_the_loop(pairs, dt):
+    v = vec(*pairs)
+    assert _bits(v.shifted(dt).to_pairs()) == _bits(_shifted_by_loop(v, dt))
