@@ -28,6 +28,7 @@ from __future__ import annotations
 import gc
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -1131,8 +1132,10 @@ def summarize(doc: dict) -> str:
 
 
 def write_bench(path: str, quick: bool = False, shards: int | None = None) -> dict:
-    """Run the bench and write ``path``; returns the document."""
+    """Run the bench and write ``path``, creating its directory;
+    returns the document."""
     doc = run_bench(quick=quick, shards=shards)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fp:
         json.dump(doc, fp, indent=2, sort_keys=True)
         fp.write("\n")

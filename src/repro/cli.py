@@ -568,8 +568,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--quick", action="store_true",
                    help="small geometry for CI smoke runs (< ~1 min)")
-    p.add_argument("--output", default="BENCH_pr10.json",
-                   help="path of the JSON result document")
+    p.add_argument("--output", default=".benchmarks/bench.json",
+                   help="path of the JSON result document (its directory "
+                        "is created; the default one is git-ignored)")
     p.add_argument("--shards", type=int, default=None, metavar="N",
                    help="max worker count for the shard_scaling stage "
                         "(default: 2 quick, 4 full)")

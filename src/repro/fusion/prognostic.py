@@ -24,6 +24,8 @@ Per-input reading, chosen to reproduce the paper's two §5.4 examples:
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -42,12 +44,68 @@ def _union_grid(vectors: Sequence[PrognosticVector]) -> np.ndarray:
     return np.unique(np.concatenate(knots))
 
 
+def _maximum(a: float, b: float) -> float:
+    # np.maximum on values that are never NaN: a tie (0.0 and -0.0)
+    # goes to the second operand.
+    return a if a > b else b
+
+
+def _curve_on(grid: list[float], pairs: list[tuple[float, float]]) -> list[float]:
+    """A multi-point vector's curve at every grid time, clipped to [0, 1].
+
+    The float form of ``probability_at(grid)``, operation for operation:
+    ``np.interp`` over the (0, 0)-anchored knots, the last segment's
+    slope past the last knot, then ``np.clip``.
+    """
+    xs = [float(t) for t, _ in pairs]
+    ys = [float(p) for _, p in pairs]
+    if xs[0] > 0:
+        xs.insert(0, 0.0)
+        ys.insert(0, 0.0)
+    # Knot times are >= 0, so the anchor puts xs[0] at zero and no grid
+    # time lies left of the curve.
+    last = len(xs) - 1
+    x_end, y_end = xs[last], ys[last]
+    tail_slope = (y_end - ys[last - 1]) / (x_end - xs[last - 1])
+    out = []
+    j = 0
+    for x in grid:
+        if x > x_end:
+            y = y_end + tail_slope * (x - x_end)
+        else:
+            # np.interp's segment: the last j with xs[j] <= x.  The grid
+            # is sorted, so j only moves forward.
+            while j < last and xs[j + 1] <= x:
+                j += 1
+            if j == last or xs[j] == x:
+                y = ys[j]
+            else:
+                # Never NaN: the knot gap is > 0 and x lies inside it,
+                # so np.interp's NaN fallback has nothing to catch.
+                slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+                y = slope * (x - xs[j]) + ys[j]
+        # np.clip: a value equal to a bound (-0.0 at 0.0) is kept.
+        if y < 0.0:
+            y = 0.0
+        elif y > 1.0:
+            y = 1.0
+        out.append(y)
+    return out
+
+
 def conservative_envelope(vectors: Iterable[PrognosticVector]) -> PrognosticVector:
     """Combine prognostic vectors by the most conservative estimate.
 
     At every knot time of every input, the fused probability is the
     maximum over all inputs' (interpolated/extrapolated) curves.  The
     result is clipped to [0, 1] and made monotone non-decreasing.
+
+    Runs on plain floats.  Every value is bit for bit what the numpy
+    form (``probability_at`` on the ``np.unique`` knot grid, row
+    maxima, ``np.clip``, ``np.maximum.accumulate``) computes; the tests
+    keep that form as the oracle.  The one freedom is the sign of a
+    zero knot time when inputs carry both ``0.0`` and ``-0.0``: numpy's
+    sort keeps either, this keeps the first met.
 
     Examples
     --------
@@ -66,36 +124,48 @@ def conservative_envelope(vectors: Iterable[PrognosticVector]) -> PrognosticVect
         return PrognosticVector.empty()
     if len(vecs) == 1:
         return vecs[0]
-    grid = _union_grid(vecs)
-    multi = [v for v in vecs if len(v) >= 2]
-    single = [v for v in vecs if len(v) == 1]
-    contributions: list[np.ndarray] = []
-    if multi:
-        prevailing = np.vstack(
-            [np.asarray(v.probability_at(grid)) for v in multi]
-        ).max(axis=0)
-        contributions.append(prevailing)
+    curves = [v.to_pairs() for v in vecs]
+    grid = sorted({float(t) for pairs in curves for t, _ in pairs})
+    n = len(grid)
+    prevailing: list[float] | None = None
+    singles: list[tuple[float, float]] = []
+    for pairs in curves:
+        if len(pairs) == 1:
+            singles.append(pairs[0])
+            continue
+        curve = _curve_on(grid, pairs)
+        prevailing = curve if prevailing is None else list(map(_maximum, prevailing, curve))
+    if prevailing is None:
+        fused = [-math.inf] * n
+        prevailing = [0.0] * n
     else:
-        prevailing = np.zeros_like(grid)
-    for v in single:
-        t_s = float(v.times[0])
-        p_s = float(v.probabilities[0])
-        base_at_knot = float(np.interp(t_s, grid, prevailing))
-        shifted = p_s + (prevailing - base_at_knot)
-        # No claim before the report's own horizon.
-        contributions.append(np.where(grid >= t_s, shifted, -np.inf))
-    fused = np.vstack(contributions).max(axis=0)
-    fused = np.clip(np.where(np.isfinite(fused), fused, 0.0), 0.0, 1.0)
-    fused = np.maximum.accumulate(fused)
-    # Collapse any saturated tail to its first point: once the curve
-    # hits 1.0 further knots add no information.
-    pairs = list(zip(grid.tolist(), fused.tolist()))
+        fused = prevailing[:]
+    for t_s, p_s in singles:
+        # The report claims nothing before its own horizon; from there
+        # on it level-shifts the prevailing curve through its knot.
+        p_s = float(p_s)
+        k = bisect_left(grid, t_s)
+        base = prevailing[k]
+        for i in range(k, n):
+            y = p_s + (prevailing[i] - base)
+            if not fused[i] > y:  # _maximum(fused[i], y), inlined
+                fused[i] = y
     out: list[tuple[float, float]] = []
-    for t, p in pairs:
-        out.append((t, p))
-        if p >= 1.0:
+    running = -math.inf
+    for t, p in zip(grid, fused):
+        # Non-finite to 0, clip to [0, 1], running max.
+        if not 0.0 <= p < math.inf:
+            p = 0.0
+        elif p > 1.0:
+            p = 1.0
+        if not running > p:  # np.maximum.accumulate's tie rule
+            running = p
+        out.append((t, running))
+        # Collapse any saturated tail to its first point: once the curve
+        # hits 1.0 further knots add no information.
+        if running >= 1.0:
             break
-    return PrognosticVector.from_pairs(out)
+    return PrognosticVector._trusted(out)
 
 
 def noisy_or_envelope(vectors: Iterable[PrognosticVector]) -> PrognosticVector:

@@ -23,6 +23,18 @@ MAX_FRAME = 16 * 1024 * 1024
 _HEADER = struct.Struct("<II")  # body length, CRC32(body)
 
 
+class _NonFinite(ValueError):
+    """A ``NaN``/``Infinity`` literal in a frame body."""
+
+
+def _reject_constant(name: str) -> Any:
+    raise _NonFinite(name)
+
+
+#: Built once: ``json.loads`` with a keyword builds a decoder per call.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def encode_message(
     payload: dict[str, Any], metrics: MetricsRegistry | None = None
 ) -> bytes:
@@ -46,6 +58,8 @@ def decode_message(
 
     Raises :class:`NetworkError` on truncation, checksum mismatch, or
     malformed content — the receiver treats all of these as line noise.
+    A ``NaN`` or ``Infinity`` literal is malformed content: JSON has
+    no such numbers, and no valid message carries one.
     """
     reg = metrics if metrics is not None else default_registry()
 
@@ -64,7 +78,9 @@ def decode_message(
     if zlib.crc32(body) != crc:
         raise reject("checksum", "frame checksum mismatch (corrupted in transit)")
     try:
-        payload = json.loads(body.decode("utf-8"))
+        payload = _DECODER.decode(body.decode("utf-8"))
+    except _NonFinite as exc:
+        raise reject("non_finite", f"frame carries a non-finite number: {exc}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise reject("json", f"corrupt frame: {exc}") from exc
     if not isinstance(payload, dict):

@@ -56,6 +56,10 @@ CREATE TABLE IF NOT EXISTS reports (
 """
 
 
+def _reject_constant(name: str) -> object:
+    raise ValueError(f"non-finite number {name}")
+
+
 def save_model(model: ShipModel, path: str | Path) -> None:
     """Persist a ship model (entities, properties, relationships,
     retained reports) to a sqlite database file, replacing previous
@@ -81,8 +85,9 @@ def save_model(model: ShipModel, path: str | Path) -> None:
             for e in model.entities():
                 for name, value in e.properties.items():
                     try:
-                        encoded = json.dumps(value)
-                    except TypeError as exc:
+                        # No NaN/Infinity: load_model refuses them.
+                        encoded = json.dumps(value, allow_nan=False)
+                    except (TypeError, ValueError) as exc:
                         raise OosmError(
                             f"property {name!r} of {e.id!r} is not JSON-persistable: {exc}"
                         ) from exc
@@ -134,7 +139,14 @@ def load_model(path: str | Path) -> ShipModel:
         for eid, name, value in conn.execute(
             "SELECT entity_id, name, value FROM properties"
         ):
-            model.get(eid).properties[name] = json.loads(value)
+            try:
+                decoded = json.loads(value, parse_constant=_reject_constant)
+            except (TypeError, ValueError) as exc:
+                raise OosmError(
+                    f"table properties: value of {name!r} on {eid!r} "
+                    f"is not a finite JSON value: {exc}"
+                ) from exc
+            model.get(eid).properties[name] = decoded
         for kind, src, dst in conn.execute(
             "SELECT kind, source_id, target_id FROM relationships"
         ):

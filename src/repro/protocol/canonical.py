@@ -36,7 +36,7 @@ def report_to_dict(report: FailurePredictionReport) -> dict:
         "additional_info": report.additional_info,
         "prognostic": [
             [round(float(t), FLOAT_DECIMALS), round(float(p), FLOAT_DECIMALS)]
-            for t, p in zip(report.prognostic.times, report.prognostic.probabilities)
+            for t, p in report.prognostic.to_pairs()
         ],
         "degraded": report.degraded,
     }
@@ -67,6 +67,38 @@ _float_repr = float.__repr__
 
 
 def _float_text(value: float) -> str:
+    """``repr(round(value, 12) + 0.0)``, named the way the stdlib
+    encoder names NaN and the infinities.
+
+    Two exact shortcuts skip the rounding for most values:
+
+    * For 1e-4 <= |value| < 1e3, ``'%.12f' % value`` prints the digits
+      of ``round(value, 12)`` (both round the exact binary value
+      half-even at the 12th decimal).  They number at most 15
+      significant digits, and every decimal of at most 15 digits
+      survives a trip through a double, so no shorter string names the
+      same double: with trailing zeros stripped it *is* the shortest
+      repr, and the exponent range keeps repr in fixed notation.
+    * If ``repr(value)`` has no exponent and at most 12 decimals, then
+      ``round(value, 12) == value``.  ``round`` reads back the
+      12-decimal number nearest ``value``; the repr is a 12-decimal
+      number that reads back as ``value``, so one at least as near
+      does too.  The one way out, a power of two (whose rounding
+      interval is narrower below), needs two 12-decimal numbers
+      within an ulp, so an ulp of 1e-12 or more and ``|value|`` >=
+      8192, where a power of two is an integer and rounds to itself.
+      Zero is folded to ``0.0``.
+
+    Every other value takes the rounding path.  The tests hold both
+    shortcuts to it at the range edges and on ties.
+    """
+    if 1e-4 <= value < 1e3 or -1e3 < value <= -1e-4:
+        text = ("%.12f" % value).rstrip("0")
+        return text + "0" if text[-1] == "." else text
+    text = _float_repr(value)
+    dot = text.find(".")
+    if dot > 0 and len(text) - dot <= FLOAT_DECIMALS + 1 and "e" not in text:
+        return text if value else "0.0"
     # + 0.0 folds -0.0 into 0.0 so sign-of-zero drift between two
     # arithmetically equal pipelines cannot break byte identity.
     value = round(value, FLOAT_DECIMALS) + 0.0

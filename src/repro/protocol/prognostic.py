@@ -15,11 +15,45 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.common.errors import ProtocolError
+
+
+def _check_point(time: float, probability: float) -> None:
+    # Chained comparisons are false for NaN, so these also reject
+    # every non-finite value.
+    if not 0.0 <= time < math.inf:
+        raise ProtocolError(f"prognostic time must be finite and >= 0, got {time}")
+    if not 0.0 <= probability <= 1.0:
+        raise ProtocolError(
+            f"prognostic probability must be in [0, 1], got {probability}"
+        )
+
+
+_by_time = operator.itemgetter(0)
+
+
+def _ordered(pairs: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
+    """Sort checked pairs by time and apply the vector-level rule."""
+    if len(pairs) > 1:
+        pairs.sort(key=_by_time)
+        times = [t for t, _ in pairs]
+        probs = [p for _, p in pairs]
+        if any(map(operator.ge, times, times[1:])):
+            raise ProtocolError(
+                "prognostic times must be strictly increasing: "
+                f"{np.array(times, dtype=np.float64)}"
+            )
+        if any(map(operator.gt, probs, probs[1:])):
+            raise ProtocolError(
+                "failure probabilities must be non-decreasing in time: "
+                f"{np.array(probs, dtype=np.float64)}"
+            )
+    return tuple(pairs)
 
 
 @dataclass(frozen=True, order=True)
@@ -38,24 +72,19 @@ class PrognosticPoint:
     probability: float
 
     def __post_init__(self) -> None:
-        # Chained comparisons are false for NaN, so these also reject
-        # every non-finite value.
-        if not 0.0 <= self.time < math.inf:
-            raise ProtocolError(
-                f"prognostic time must be finite and >= 0, got {self.time}"
-            )
-        if not 0.0 <= self.probability <= 1.0:
-            raise ProtocolError(
-                f"prognostic probability must be in [0, 1], got {self.probability}"
-            )
+        _check_point(self.time, self.probability)
 
 
 class PrognosticVector:
     """An ordered list of :class:`PrognosticPoint`.
 
-    Immutable after construction.  Provides the numeric views that
-    knowledge fusion needs (times/probabilities arrays, interpolation
-    and extrapolation of failure probability at arbitrary horizons).
+    Immutable after construction.  The state is one tuple of ``(time,
+    probability)`` pairs, kept as given: the wire decoder, ``shifted``
+    and the fusion envelope read and write those pairs directly.
+    Iteration and indexing build :class:`PrognosticPoint` objects on
+    demand, and the numeric views (the ``times``/``probabilities``
+    arrays, interpolation and extrapolation of failure probability at
+    arbitrary horizons) build their numpy arrays when called.
 
     Examples
     --------
@@ -68,86 +97,86 @@ class PrognosticVector:
     0.5
     """
 
-    __slots__ = ("_points", "_times", "_probs")
+    __slots__ = ("_pairs",)
 
     def __init__(self, points: Iterable[PrognosticPoint]) -> None:
-        pts = sorted(points, key=operator.attrgetter("time"))
-        times = [p.time for p in pts]
-        probs = [p.probability for p in pts]
-        if any(map(operator.ge, times, times[1:])):
-            raise ProtocolError(
-                "prognostic times must be strictly increasing: "
-                f"{np.array(times, dtype=np.float64)}"
-            )
-        if any(map(operator.gt, probs, probs[1:])):
-            raise ProtocolError(
-                "failure probabilities must be non-decreasing in time: "
-                f"{np.array(probs, dtype=np.float64)}"
-            )
-        self._set(tuple(pts), times, probs)
-
-    def _set(
-        self, points: tuple[PrognosticPoint, ...], times: list[float], probs: list[float]
-    ) -> None:
-        self._points = points
-        self._times = np.array(times, dtype=np.float64)
-        self._probs = np.array(probs, dtype=np.float64)
+        self._pairs = _ordered([(p.time, p.probability) for p in points])
 
     @classmethod
-    def _trusted(cls, pairs: list[tuple[float, float]]) -> "PrognosticVector":
+    def _trusted(cls, pairs: Iterable[tuple[float, float]]) -> "PrognosticVector":
         """Build from pairs the caller guarantees are already valid:
         strictly increasing times, non-decreasing probabilities."""
         vec = cls.__new__(cls)
-        vec._set(
-            tuple(PrognosticPoint(t, p) for t, p in pairs),
-            [t for t, _ in pairs],
-            [p for _, p in pairs],
-        )
+        vec._pairs = tuple(pairs)
         return vec
 
     # -- construction -------------------------------------------------
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[float, float]]) -> "PrognosticVector":
-        """Build from ``(time_seconds, probability)`` tuples."""
-        return cls(PrognosticPoint(t, p) for t, p in pairs)
+        """Build from ``(time_seconds, probability)`` tuples.
+
+        Each pair is checked as a :class:`PrognosticPoint` would check
+        it, in input order, before the pairs are sorted by time.
+        """
+        checked = []
+        for t, p in pairs:
+            _check_point(t, p)
+            checked.append((t, p))
+        return cls._trusted(_ordered(checked))
 
     @classmethod
     def empty(cls) -> "PrognosticVector":
         """The zero-length vector ('zero to n ordered pairs', §7.3)."""
-        return cls(())
+        return cls._trusted(())
 
     # -- container protocol -------------------------------------------
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._pairs)
 
     def __iter__(self) -> Iterator[PrognosticPoint]:
-        return iter(self._points)
+        return starmap(PrognosticPoint, self._pairs)
 
-    def __getitem__(self, i: int) -> PrognosticPoint:
-        return self._points[i]
+    def __getitem__(
+        self, i: int | slice
+    ) -> PrognosticPoint | tuple[PrognosticPoint, ...]:
+        if isinstance(i, slice):
+            return tuple(starmap(PrognosticPoint, self._pairs[i]))
+        return PrognosticPoint(*self._pairs[i])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PrognosticVector):
             return NotImplemented
-        return self._points == other._points
+        return self._pairs == other._pairs
 
     def __hash__(self) -> int:
-        return hash(self._points)
+        # A point hashes as its (time, probability) tuple, so this is
+        # the hash of the tuple of points.
+        return hash(self._pairs)
 
     # -- numeric views -------------------------------------------------
     @property
     def times(self) -> np.ndarray:
-        """Horizon times in seconds (read-only view)."""
-        v = self._times.view()
+        """Horizon times in seconds (a new read-only array)."""
+        v = np.array([t for t, _ in self._pairs], dtype=np.float64)
         v.flags.writeable = False
         return v
 
     @property
     def probabilities(self) -> np.ndarray:
-        """Failure probabilities (read-only view)."""
-        v = self._probs.view()
+        """Failure probabilities (a new read-only array)."""
+        v = np.array([p for _, p in self._pairs], dtype=np.float64)
         v.flags.writeable = False
         return v
+
+    def _anchored(self) -> tuple[np.ndarray, np.ndarray]:
+        """Times and probabilities with the (0, 0) anchor prepended
+        unless the vector already starts at t=0."""
+        times = self.times
+        probs = self.probabilities
+        if times[0] > 0:
+            times = np.concatenate(([0.0], times))
+            probs = np.concatenate(([0.0], probs))
+        return times, probs
 
     def probability_at(self, t: float | np.ndarray) -> float | np.ndarray:
         """Failure probability by horizon ``t``, linearly interpolated.
@@ -162,12 +191,7 @@ class PrognosticVector:
             out = np.zeros_like(t_arr)
             return float(out) if np.isscalar(t) else out
 
-        times = self._times
-        probs = self._probs
-        # Anchor at (0, 0) unless the vector already starts at t=0.
-        if times[0] > 0:
-            times = np.concatenate(([0.0], times))
-            probs = np.concatenate(([0.0], probs))
+        times, probs = self._anchored()
         out = np.interp(t_arr, times, probs)
         # Linear extrapolation beyond the last knot (single-point
         # vectors hold their value: one observation defines no slope).
@@ -189,11 +213,7 @@ class PrognosticVector:
             raise ProtocolError(f"probability threshold must be in (0, 1], got {p}")
         if len(self) == 0:
             return float("inf")
-        times = self._times
-        probs = self._probs
-        if times[0] > 0:
-            times = np.concatenate(([0.0], times))
-            probs = np.concatenate(([0.0], probs))
+        times, probs = self._anchored()
         idx = int(np.searchsorted(probs, p, side="left"))
         if idx < probs.size:
             if idx == 0:
@@ -224,12 +244,12 @@ class PrognosticVector:
         # kept knot, which keeps its time and takes the running max.
         pairs: list[tuple[float, float]] = []
         running = 0.0
-        for p in self._points:
-            t = p.time - dt
+        for time, prob in self._pairs:
+            t = time - dt
             if not t > 0.0:
                 t = 0.0
-            if p.probability > running:
-                running = p.probability
+            if prob > running:
+                running = prob
             if pairs and pairs[-1][0] == t:
                 pairs[-1] = (pairs[-1][0], running)
             else:
@@ -238,8 +258,8 @@ class PrognosticVector:
 
     def to_pairs(self) -> list[tuple[float, float]]:
         """Plain ``[(time, probability), ...]`` list (wire form)."""
-        return [(p.time, p.probability) for p in self._points]
+        return list(self._pairs)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"({p.time:.6g}s, {p.probability:.3g})" for p in self._points)
+        inner = ", ".join(f"({t:.6g}s, {p:.3g})" for t, p in self._pairs)
         return f"PrognosticVector([{inner}])"

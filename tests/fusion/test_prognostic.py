@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -209,3 +210,128 @@ def test_noisy_or_dominates_every_input(vs):
     nor_vals = np.asarray(nor.probability_at(grid))
     for v in vs:
         assert np.all(nor_vals >= np.asarray(v.probability_at(grid)) - 1e-9)
+
+
+# -- the float envelope against the numpy form it replaced ----------------
+
+def _numpy_envelope(vectors):
+    """``conservative_envelope`` as written with numpy, kept as the
+    oracle for the float form: probability_at on the np.unique grid,
+    row maxima, np.clip and np.maximum.accumulate."""
+    vecs = [v for v in vectors if len(v)]
+    if not vecs:
+        return PrognosticVector.empty()
+    if len(vecs) == 1:
+        return vecs[0]
+    grid = np.unique(np.concatenate([v.times for v in vecs]))
+    multi = [v for v in vecs if len(v) >= 2]
+    single = [v for v in vecs if len(v) == 1]
+    contributions = []
+    if multi:
+        prevailing = np.vstack(
+            [np.asarray(v.probability_at(grid)) for v in multi]
+        ).max(axis=0)
+        contributions.append(prevailing)
+    else:
+        prevailing = np.zeros_like(grid)
+    for v in single:
+        t_s = float(v.times[0])
+        p_s = float(v.probabilities[0])
+        base_at_knot = float(np.interp(t_s, grid, prevailing))
+        shifted = p_s + (prevailing - base_at_knot)
+        contributions.append(np.where(grid >= t_s, shifted, -np.inf))
+    fused = np.vstack(contributions).max(axis=0)
+    fused = np.clip(np.where(np.isfinite(fused), fused, 0.0), 0.0, 1.0)
+    fused = np.maximum.accumulate(fused)
+    out = []
+    for t, p in zip(grid.tolist(), fused.tolist()):
+        out.append((t, p))
+        if p >= 1.0:
+            break
+    return PrognosticVector.from_pairs(out)
+
+
+def _bits(pairs):
+    return [
+        (type(t), struct.pack("<d", t), type(p), struct.pack("<d", p))
+        for t, p in pairs
+    ]
+
+
+def _unsigned_zero_times(pairs):
+    return [(0.0 if t == 0 else t, p) for t, p in pairs]
+
+
+# Knot times and probabilities mix fixed edge values (zeros of both
+# signs, ints, certainty) with free floats, so ties, clamps, -0.0 and
+# saturated tails are common.
+_knot_times = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, 1, 3, 1.0, 2.5, 3600.0, 7200]),
+    st.floats(min_value=0.0, max_value=1e7),
+    st.floats(min_value=0.0, max_value=1e-300),
+)
+_knot_probs = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, 1, 1.0, 0.5, 1.0 - 2**-52]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@st.composite
+def _knotted(draw, sizes):
+    n = draw(sizes)
+    times = draw(st.lists(_knot_times, min_size=n, max_size=n, unique_by=float))
+    probs = sorted(draw(st.lists(_knot_probs, min_size=n, max_size=n)))
+    vec = PrognosticVector.from_pairs(list(zip(sorted(times), probs)))
+    # Age some vectors so elapsed knots clamp to 0 and merge.
+    dt = draw(st.sampled_from([0.0, 0.0, 1.0, 2.0, 3600.0]) | st.floats(0.0, 1e4))
+    return vec.shifted(dt)
+
+
+_singles = _knotted(st.just(1))
+_multis = _knotted(st.integers(min_value=2, max_value=7))
+_envelope_inputs = st.one_of(
+    st.lists(_singles, max_size=5),
+    st.lists(_multis, max_size=5),
+    st.lists(_singles | _multis, max_size=6),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_envelope_inputs)
+def test_envelope_is_bitwise_the_numpy_form(vs):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _numpy_envelope(vs).to_pairs()
+    got = conservative_envelope(vs).to_pairs()
+    zeros = {math.copysign(1.0, t) for v in vs for t, _ in v.to_pairs() if t == 0}
+    if len(zeros) > 1:
+        # numpy's sort keeps either signed zero of a tie; only that
+        # time's sign may differ.
+        want, got = _unsigned_zero_times(want), _unsigned_zero_times(got)
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize(
+    "pairs_list",
+    [
+        # Only singles, one of them at a -0.0 probability.
+        [[(5.0, -0.0)], [(9.0, 0.25)], [(2.0, 0.1)]],
+        # Only multis, one saturating past its last knot.
+        [[(1.0, 0.2), (2.0, 0.9)], [(0.5, 0.0), (10.0, 0.3)]],
+        # Mixed, with int knots and a -0.0 knot time.
+        [[(-0.0, 0), (3, 1)], [(2, 0.5)], [(1.0, -0.0), (4.0, 0.75)]],
+        # A single report that level-shifts past certainty.
+        [[(1.0, 0.1), (4.0, 0.4)], [(2.0, 0.95)]],
+        # Signed-zero ties, each settled the way numpy settles it: two
+        # curves at -0.0 and 0.0 (np.maximum keeps the second) ...
+        [[(1.0, -0.0), (2.0, 0.5)], [(1.0, 0.0), (3.0, 0.5)]],
+        # ... a single report tying the prevailing curve's -0.0 ...
+        [[(1.0, -0.0), (5.0, 0.5)], [(1.0, 0.0)]],
+        # ... and the running max meeting -0.0 after 0.0.
+        [[(1.0, 0.0), (2.0, -0.0), (3.0, 0.5)], [(3.0, 0.1)]],
+    ],
+)
+def test_envelope_edges_are_bitwise_the_numpy_form(pairs_list):
+    vs = [PrognosticVector.from_pairs(p) for p in pairs_list]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _numpy_envelope(vs).to_pairs()
+    assert _bits(conservative_envelope(vs).to_pairs()) == _bits(want)

@@ -95,6 +95,24 @@ def test_decode_errors_are_counted_by_reason():
     assert snap["netsim.transport.frames_decoded"] == 1.0
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_literals_are_rejected_and_counted(literal):
+    # Python's json writes and reads these, but JSON has no such
+    # numbers: an intact frame carrying one is refused under its own
+    # reason, not handed on as a float.
+    import struct
+    import zlib
+
+    reg = MetricsRegistry()
+    body = ('{"severity":%s}' % literal).encode("utf-8")
+    frame = struct.pack("<II", len(body), zlib.crc32(body)) + body
+    with pytest.raises(NetworkError, match="non-finite"):
+        decode_message(frame, reg)
+    snap = reg.snapshot()["counters"]
+    assert snap["netsim.transport.decode_errors{reason=non_finite}"] == 1.0
+    assert "netsim.transport.frames_decoded" not in snap
+
+
 def test_header_size_unchanged():
     # The data-rate accounting (repro.hpc.datarates) assumes an 8-byte
     # frame header; fail loudly if the wire format drifts.

@@ -139,3 +139,33 @@ def test_unpersistable_property_raises(tmp_path):
     model.set_property(e.id, "weird", object())
     with pytest.raises(OosmError):
         save_model(model, tmp_path / "m.sqlite")
+
+
+def test_non_finite_property_is_not_saved(tmp_path):
+    model = ShipModel()
+    e = model.create("pump")
+    model.set_property(e.id, "capacity", float("nan"))
+    with pytest.raises(OosmError, match="capacity"):
+        save_model(model, tmp_path / "m.sqlite")
+
+
+@pytest.mark.parametrize("stored", ["NaN", "-Infinity", "[1.0, Infinity]", "{", ""])
+def test_load_rejects_unreadable_property_rows(tmp_path, stored):
+    # A property row edited on disk to hold a non-finite number or
+    # broken JSON is refused with the table named, not loaded as NaN
+    # or raised as a bare JSONDecodeError.
+    import sqlite3
+
+    model = ShipModel()
+    e = model.create("pump", capacity=3.5)
+    path = tmp_path / "m.sqlite"
+    save_model(model, path)
+    conn = sqlite3.connect(str(path))
+    with conn:
+        conn.execute(
+            "UPDATE properties SET value = ? WHERE entity_id = ? AND name = ?",
+            (stored, e.id, "capacity"),
+        )
+    conn.close()
+    with pytest.raises(OosmError, match=r"table properties: value of 'capacity'"):
+        load_model(path)

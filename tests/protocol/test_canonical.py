@@ -121,3 +121,57 @@ def test_canonical_parts_stitch_to_the_same_bytes(parts, stamp):
         },
     }
     assert canonical_dumps(stitched) == canonical_dumps(whole)
+
+
+# -- the float text shortcuts against the rounding path ------------------
+
+def _rounded_text(value: float) -> str:
+    """The rounding path every float took before the shortcuts."""
+    value = round(value, FLOAT_DECIMALS) + 0.0
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return repr(value)
+
+
+def _sweep(start: float, steps: int) -> list[float]:
+    """``steps`` doubles either side of ``start``, both signs."""
+    out = [start]
+    below = above = start
+    for _ in range(steps):
+        below = math.nextafter(below, -math.inf)
+        above = math.nextafter(above, math.inf)
+        out += [below, above]
+    return out + [-x for x in out]
+
+
+_EDGES = (
+    # The fixed-point range's ends, the repr range's end, and 8192,
+    # above which a 12-decimal repr can differ from the nearest
+    # 12-decimal number.
+    _sweep(1e-4, 64) + _sweep(1e3, 64) + _sweep(1e16, 64) + _sweep(8192.0, 64)
+    # Dyadic values sit on exact ties of the 12th decimal or near it.
+    + [2.0**-k for k in range(1, 60)] + [1.0 + 2.0**-k for k in range(30, 53)]
+    + [k * 2.0**-13 for k in range(1, 40)] + [0.5e-12, 1.5e-12, 2.5e-12]
+    + [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 5e-324, 1.7e308]
+)
+
+
+def test_float_text_matches_rounding_at_edges():
+    from repro.protocol.canonical import _float_text
+
+    for x in _EDGES:
+        assert _float_text(x) == _rounded_text(x), repr(x)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.floats(min_value=-2e3, max_value=2e3)
+    | st.decimals(min_value=-1e7, max_value=1e7, places=12).map(float)
+)
+def test_float_text_matches_rounding(x):
+    from repro.protocol.canonical import _float_text
+
+    assert _float_text(x) == _rounded_text(x)

@@ -276,3 +276,134 @@ def test_shifted_is_bitwise_the_loop(v, dt):
 def test_shifted_edges_match_the_loop(pairs, dt):
     v = vec(*pairs)
     assert _bits(v.shifted(dt).to_pairs()) == _bits(_shifted_by_loop(v, dt))
+
+
+# -- parity with the point-tuple vector it replaced ------------------------
+
+class _PointVector:
+    """The vector as first written — a sorted tuple of validated
+    ``PrognosticPoint`` objects — kept as the oracle for the pair
+    tuple's errors and container behaviour."""
+
+    def __init__(self, points):
+        pts = sorted(points, key=lambda p: p.time)
+        times = [p.time for p in pts]
+        probs = [p.probability for p in pts]
+        if any(a >= b for a, b in zip(times, times[1:])):
+            raise ProtocolError(
+                "prognostic times must be strictly increasing: "
+                f"{np.array(times, dtype=np.float64)}"
+            )
+        if any(a > b for a, b in zip(probs, probs[1:])):
+            raise ProtocolError(
+                "failure probabilities must be non-decreasing in time: "
+                f"{np.array(probs, dtype=np.float64)}"
+            )
+        self.points = tuple(pts)
+
+    @classmethod
+    def from_pairs(cls, pairs):
+        return cls(PrognosticPoint(t, p) for t, p in pairs)
+
+    def __repr__(self):
+        inner = ", ".join(f"({p.time:.6g}s, {p.probability:.3g})" for p in self.points)
+        return f"PrognosticVector([{inner}])"
+
+
+def _outcome(build):
+    try:
+        return "ok", build()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+# Valid and invalid values of every kind, so each check — point time,
+# point probability, order, strictness — gets to raise first.
+_any_times = st.sampled_from(
+    [0.0, -0.0, 1.0, 1.0, 2, 2.5, -1.0, math.nan, math.inf, "1", None]
+) | st.floats(min_value=-1.0, max_value=1e6)
+_any_probs = st.sampled_from(
+    [0.0, 0.5, 0.5, 1, 1.0, 1.5, -0.1, math.nan, -math.inf, "0.5"]
+) | st.floats(min_value=-0.1, max_value=1.1)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(_any_times, _any_probs), max_size=6))
+def test_from_pairs_errors_match_point_vector(pairs):
+    want = _outcome(lambda: _PointVector.from_pairs(pairs))
+    got = _outcome(lambda: PrognosticVector.from_pairs(pairs))
+    if want[0] == "ok":
+        assert got[0] == "ok"
+        assert list(got[1]) == list(want[1].points)
+    else:
+        assert got == want
+
+
+def test_from_pairs_checks_points_in_input_order_before_sorting():
+    # The third pair's bad probability is met before the duplicate time
+    # in the first two, and the second pair's bad time before both.
+    with pytest.raises(ProtocolError, match="probability must be in"):
+        PrognosticVector.from_pairs([(1.0, 0.1), (1.0, 0.2), (0.5, 2.0)])
+    with pytest.raises(ProtocolError, match="time must be finite"):
+        PrognosticVector.from_pairs([(1.0, 0.1), (-1.0, 0.2), (0.5, 2.0)])
+    with pytest.raises(ValueError):
+        PrognosticVector.from_pairs([(1.0, 0.1, 0.3)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_validator_times, _validator_probs), max_size=6))
+def test_init_errors_match_point_vector(pairs):
+    points = [PrognosticPoint(t, p) for t, p in pairs]
+    want = _outcome(lambda: _PointVector(iter(points)))
+    got = _outcome(lambda: PrognosticVector(iter(points)))
+    if want[0] == "ok":
+        assert got[0] == "ok"
+        assert got[1] == PrognosticVector.from_pairs(pairs)
+    else:
+        assert got == want
+
+
+_container_cases = [
+    [],
+    [(3600.0, 0.1)],
+    [(0.0, 0.0), (10, 1)],
+    [(-0.0, -0.0), (2.5, 0.5), (months(3), 0.99)],
+    [(20.0, 0.9), (5.0, 0.25), (7.5, 0.5)],
+]
+
+
+@pytest.mark.parametrize("pairs", _container_cases)
+def test_container_behaviour_matches_point_vector(pairs):
+    import pickle
+
+    old = _PointVector.from_pairs(pairs)
+    new = PrognosticVector.from_pairs(pairs)
+    assert tuple(new) == old.points
+    assert all(type(p) is PrognosticPoint for p in new)
+    assert [new[i] for i in range(-len(pairs), len(pairs))] == [
+        old.points[i] for i in range(-len(pairs), len(pairs))
+    ]
+    assert new[1:] == old.points[1:] and new[::-1] == old.points[::-1]
+    with pytest.raises(IndexError):
+        new[len(pairs)]
+    assert repr(new) == repr(old)
+    assert hash(new) == hash(old.points)
+    assert new == PrognosticVector(old.points)
+    # Equal values of other types compare and hash equal, as points do.
+    floats = PrognosticVector.from_pairs([(float(t), float(p)) for t, p in pairs])
+    assert new == floats and hash(new) == hash(floats)
+    back = pickle.loads(pickle.dumps(new))
+    assert back == new and hash(back) == hash(new)
+    assert _bits(back.to_pairs()) == _bits(new.to_pairs())
+    # Stored as given: an int knot stays an int on the wire.
+    assert [(t, p, type(t), type(p)) for t, p in new.to_pairs()] == [
+        (q.time, q.probability, type(q.time), type(q.probability)) for q in old.points
+    ]
+
+
+def test_numeric_views_are_fresh_read_only_arrays():
+    v = PrognosticVector.from_pairs(PAPER)
+    assert v.times is not v.times
+    assert v.times.dtype == np.float64 and not v.times.flags.writeable
+    assert not v.probabilities.flags.writeable
+    assert PrognosticVector.empty().times.shape == (0,)
