@@ -12,6 +12,8 @@ All of them emit §7 failure-prediction reports through the common
 :class:`~repro.algorithms.base.KnowledgeSource` interface.
 """
 
-from repro.algorithms.base import KnowledgeSource, SourceContext
+from repro import lazy_exports
 
-__all__ = ["KnowledgeSource", "SourceContext"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.algorithms.base": ["KnowledgeSource", "SourceContext"],
+})

@@ -13,18 +13,15 @@ Slight/Moderate/Serious/Extreme, and believability factors derived from
 a reversal-statistics database.
 """
 
-from repro.algorithms.dli.believability import ReversalDatabase
-from repro.algorithms.dli.engine import DliExpertSystem
-from repro.algorithms.dli.frames import RuleFrame, RuleResult
-from repro.algorithms.dli.rules import standard_rulebase
-from repro.algorithms.dli.severity import prognostic_from_grade, score_to_grade
+from repro import lazy_exports
 
-__all__ = [
-    "ReversalDatabase",
-    "DliExpertSystem",
-    "RuleFrame",
-    "RuleResult",
-    "standard_rulebase",
-    "prognostic_from_grade",
-    "score_to_grade",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.algorithms.dli.believability": ["ReversalDatabase"],
+    "repro.algorithms.dli.engine": ["DliExpertSystem"],
+    "repro.algorithms.dli.frames": ["RuleFrame", "RuleResult"],
+    "repro.algorithms.dli.rules": ["standard_rulebase"],
+    "repro.algorithms.dli.severity": [
+        "prognostic_from_grade",
+        "score_to_grade",
+    ],
+})

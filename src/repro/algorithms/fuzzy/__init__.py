@@ -7,33 +7,22 @@ rulebase with centroid defuzzification, plus trend-based prognostic
 vectors.
 """
 
-from repro.algorithms.fuzzy.engine import FuzzyDiagnostics
-from repro.algorithms.fuzzy.inference import FuzzyRule, MamdaniEngine
-from repro.algorithms.fuzzy.prognosis import trend_prognostic
-from repro.algorithms.fuzzy.rules import (
-    chiller_rulebase,
-    chiller_variables,
-    turbine_rulebase,
-    turbine_variables,
-)
-from repro.algorithms.fuzzy.sets import (
-    Gaussian,
-    LinguisticVariable,
-    Trapezoid,
-    Triangle,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "FuzzyDiagnostics",
-    "FuzzyRule",
-    "MamdaniEngine",
-    "trend_prognostic",
-    "chiller_rulebase",
-    "chiller_variables",
-    "turbine_rulebase",
-    "turbine_variables",
-    "Gaussian",
-    "LinguisticVariable",
-    "Trapezoid",
-    "Triangle",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.algorithms.fuzzy.engine": ["FuzzyDiagnostics"],
+    "repro.algorithms.fuzzy.inference": ["FuzzyRule", "MamdaniEngine"],
+    "repro.algorithms.fuzzy.prognosis": ["trend_prognostic"],
+    "repro.algorithms.fuzzy.rules": [
+        "chiller_rulebase",
+        "chiller_variables",
+        "turbine_rulebase",
+        "turbine_variables",
+    ],
+    "repro.algorithms.fuzzy.sets": [
+        "Gaussian",
+        "LinguisticVariable",
+        "Trapezoid",
+        "Triangle",
+    ],
+})

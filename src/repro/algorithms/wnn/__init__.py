@@ -14,16 +14,11 @@ are computed on short windows and are dominated by localized
 time-scale content.
 """
 
-from repro.algorithms.wnn.classifier import WnnFaultClassifier
-from repro.algorithms.wnn.features import FEATURE_NAMES, assemble_features
-from repro.algorithms.wnn.network import WaveletNeuralNetwork
-from repro.algorithms.wnn.train import TrainConfig, train_network
+from repro import lazy_exports
 
-__all__ = [
-    "WnnFaultClassifier",
-    "FEATURE_NAMES",
-    "assemble_features",
-    "WaveletNeuralNetwork",
-    "TrainConfig",
-    "train_network",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.algorithms.wnn.classifier": ["WnnFaultClassifier"],
+    "repro.algorithms.wnn.features": ["FEATURE_NAMES", "assemble_features"],
+    "repro.algorithms.wnn.network": ["WaveletNeuralNetwork"],
+    "repro.algorithms.wnn.train": ["TrainConfig", "train_network"],
+})

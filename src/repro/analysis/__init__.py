@@ -25,106 +25,61 @@ All emit :class:`~repro.analysis.report.Diagnostic` records collected
 into a :class:`~repro.analysis.report.VerificationReport`.
 """
 
-from __future__ import annotations
+from repro import lazy_exports
 
-from repro.analysis.analyze import (
-    AnalyzeConfig,
-    analyze_paths,
-    analyze_sources,
-    build_graph,
-    check_graph,
-)
-from repro.analysis.cache import SummaryCache, content_key
-from repro.analysis.callgraph import (
-    ANALYZER_VERSION,
-    CallGraph,
-    FunctionSummary,
-    ModuleSummary,
-    summarize_source,
-)
-from repro.analysis.cfg import (
-    CfgEdge,
-    ControlFlowGraph,
-    EdgeAccess,
-    build_cfg,
-    dead_timer_compares,
-    static_truth,
-)
-from repro.analysis.concurrency import CONC_RULE_IDS, check_concurrency
-from repro.analysis.effects import FLOW_RULE_IDS, check_flow_rules
-from repro.analysis.imports import ImportTable, module_name_for_path
-from repro.analysis.lint import (
-    LintRule,
-    allowed_rules,
-    iter_python_files,
-    lint_paths,
-    lint_source,
-)
-from repro.analysis.output import (
-    Baseline,
-    BaselineEntry,
-    diagnostic_fingerprint,
-    render_jsonl,
-    render_sarif,
-)
-from repro.analysis.report import (
-    Diagnostic,
-    Location,
-    Severity,
-    VerificationReport,
-)
-from repro.analysis.sbfr_verifier import (
-    DEFAULT_BUDGETS,
-    Budgets,
-    cycle_cost_s,
-    verify_bytes,
-    verify_machine,
-    verify_set,
-)
-
-__all__ = [
-    "ANALYZER_VERSION",
-    "AnalyzeConfig",
-    "Baseline",
-    "BaselineEntry",
-    "Budgets",
-    "CONC_RULE_IDS",
-    "CallGraph",
-    "CfgEdge",
-    "ControlFlowGraph",
-    "DEFAULT_BUDGETS",
-    "Diagnostic",
-    "EdgeAccess",
-    "FLOW_RULE_IDS",
-    "FunctionSummary",
-    "ImportTable",
-    "LintRule",
-    "Location",
-    "ModuleSummary",
-    "Severity",
-    "SummaryCache",
-    "VerificationReport",
-    "allowed_rules",
-    "analyze_paths",
-    "analyze_sources",
-    "build_cfg",
-    "build_graph",
-    "check_concurrency",
-    "check_flow_rules",
-    "check_graph",
-    "content_key",
-    "cycle_cost_s",
-    "dead_timer_compares",
-    "diagnostic_fingerprint",
-    "iter_python_files",
-    "lint_paths",
-    "lint_source",
-    "module_name_for_path",
-    "render_jsonl",
-    "render_sarif",
-    "static_truth",
-    "summarize_source",
-    "verify_bytes",
-    "verify_machine",
-    "verify_set",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.analyze": [
+        "AnalyzeConfig",
+        "analyze_paths",
+        "analyze_sources",
+        "build_graph",
+        "check_graph",
+    ],
+    "repro.analysis.cache": ["SummaryCache", "content_key"],
+    "repro.analysis.callgraph": [
+        "ANALYZER_VERSION",
+        "CallGraph",
+        "FunctionSummary",
+        "ModuleSummary",
+        "summarize_source",
+    ],
+    "repro.analysis.cfg": [
+        "CfgEdge",
+        "ControlFlowGraph",
+        "EdgeAccess",
+        "build_cfg",
+        "dead_timer_compares",
+        "static_truth",
+    ],
+    "repro.analysis.concurrency": ["CONC_RULE_IDS", "check_concurrency"],
+    "repro.analysis.effects": ["FLOW_RULE_IDS", "check_flow_rules"],
+    "repro.analysis.imports": ["ImportTable", "module_name_for_path"],
+    "repro.analysis.lint": [
+        "LintRule",
+        "allowed_rules",
+        "iter_python_files",
+        "lint_paths",
+        "lint_source",
+    ],
+    "repro.analysis.output": [
+        "Baseline",
+        "BaselineEntry",
+        "diagnostic_fingerprint",
+        "render_jsonl",
+        "render_sarif",
+    ],
+    "repro.analysis.report": [
+        "Diagnostic",
+        "Location",
+        "Severity",
+        "VerificationReport",
+    ],
+    "repro.analysis.sbfr_verifier": [
+        "DEFAULT_BUDGETS",
+        "Budgets",
+        "cycle_cost_s",
+        "verify_bytes",
+        "verify_machine",
+        "verify_set",
+    ],
+})

@@ -129,12 +129,9 @@ def _report_key(r) -> tuple:
 
 def _bench_dsp(registry, quick: bool) -> dict:
     """Batched DSP kernels vs the per-signal scalar calls."""
-    from repro.dsp import (
-        averaged_spectrum,
-        batch_averaged_spectrum,
-        batch_envelope_spectrum,
-        envelope_spectrum,
-    )
+    from repro.dsp.batch import batch_averaged_spectrum, batch_envelope_spectrum
+    from repro.dsp.envelope import envelope_spectrum
+    from repro.dsp.fft import averaged_spectrum
 
     m, n = (8, 16384) if quick else (16, 32768)
     fs = 16384.0
@@ -171,12 +168,9 @@ def _bench_sbfr(registry, quick: bool) -> dict:
     every cycle's level and counter statuses must be identical on both
     executors before the timing is accepted.
     """
-    from repro.sbfr import (
-        SbfrSystem,
-        SbfrWatchGrid,
-        count_threshold_machine,
-        level_alarm_machine,
-    )
+    from repro.sbfr.batch import SbfrWatchGrid
+    from repro.sbfr.interpreter import SbfrSystem
+    from repro.sbfr.library import count_threshold_machine, level_alarm_machine
 
     n_objects, n_watches = 100, 5
     cycles = 200 if quick else 500
@@ -265,7 +259,7 @@ def _scan_pipeline_contexts(m: int, scans: int, n: int, fs: float):
     """The pre-PR probe workload: m machines, pre-generated blocks."""
     from repro.algorithms.base import SourceContext
     from repro.common.rng import derive_rng, make_rng
-    from repro.plant import FaultKind
+    from repro.plant.faults import FaultKind
     from repro.plant.chiller import ChillerSimulator
     from repro.plant.faults import seeded
 
@@ -655,7 +649,8 @@ def _bench_daemon(registry, quick: bool) -> dict:
     """
     from repro.obs.registry import MetricsRegistry
     from repro.plant.faults import FaultKind, seeded
-    from repro.stream import RECOVERY_CEILING, DaemonConfig, StreamDaemon
+    from repro.stream.daemon import DaemonConfig, StreamDaemon
+    from repro.stream.drill import RECOVERY_CEILING
     from repro.system import build_mpros_system
 
     window = 900.0 if quick else 1800.0
@@ -823,7 +818,7 @@ def _bench_gateway(registry, quick: bool) -> dict:
     import tempfile
     import threading
 
-    from repro.gateway import gateway_for_sharded
+    from repro.gateway.service import gateway_for_sharded
     from repro.gateway.service import REQUEST_LATENCY_EDGES
     from repro.obs.registry import MetricsRegistry
     from repro.oosm.model import ShipModel

@@ -17,24 +17,16 @@ observability registry.  Everything is seeded and event-driven, so a
 failing chaos run replays exactly.
 """
 
-from repro.chaos.engine import ChaosEngine, ResilienceReport, run_scenario
-from repro.chaos.scenario import (
-    ACTION_KINDS,
-    ChaosAction,
-    ChaosScenario,
-    canonical_scenario,
-    daemon_scenario,
-    turbine_scenario,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ACTION_KINDS",
-    "ChaosAction",
-    "ChaosEngine",
-    "ChaosScenario",
-    "ResilienceReport",
-    "canonical_scenario",
-    "daemon_scenario",
-    "run_scenario",
-    "turbine_scenario",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.chaos.engine": ["ChaosEngine", "ResilienceReport", "run_scenario"],
+    "repro.chaos.scenario": [
+        "ACTION_KINDS",
+        "ChaosAction",
+        "ChaosScenario",
+        "canonical_scenario",
+        "daemon_scenario",
+        "turbine_scenario",
+    ],
+})

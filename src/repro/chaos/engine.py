@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 from repro.common.errors import MprosError
 from repro.chaos.scenario import ChaosAction, ChaosScenario, canonical_scenario
 from repro.plant.faults import FaultKind, seeded, sensor_dropout, sensor_stuck
-from repro.supervisor import BreakerState
+from repro.supervisor.breaker import BreakerState
 from repro.system import MprosSystem, build_mpros_system
 
 

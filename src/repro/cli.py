@@ -48,8 +48,8 @@ def _cmd_list_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    from repro import build_mpros_system
     from repro.plant.faults import FaultKind, progressive
+    from repro.system import build_mpros_system
 
     try:
         fault = FaultKind(args.fault)
@@ -75,7 +75,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.algorithms.dli.engine import DliExpertSystem
     from repro.algorithms.fuzzy.engine import FuzzyDiagnostics
     from repro.algorithms.sbfr_source import SbfrKnowledgeSource
-    from repro.validation import SeededFaultCampaign
+    from repro.validation.seeded import SeededFaultCampaign
 
     campaign = SeededFaultCampaign(
         sources=[DliExpertSystem(), FuzzyDiagnostics(), SbfrKnowledgeSource()],
@@ -95,7 +95,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_ema(args: argparse.Namespace) -> int:
     from repro.plant.ema import EmaSimulator
-    from repro.sbfr import SbfrSystem, build_spike_machine, build_stiction_machine
+    from repro.sbfr.interpreter import SbfrSystem
+    from repro.sbfr.library import build_spike_machine, build_stiction_machine
 
     system = SbfrSystem(channels=["current", "cpos"])
     system.add_machine(build_spike_machine(0, self_index=0))
@@ -119,9 +120,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     """Scripted DC→PDME run, then dump the unified metrics snapshot."""
     import json
 
-    from repro import build_mpros_system
-    from repro.obs import MetricsRegistry, export_jsonl, snapshot_json
+    from repro.obs.export import export_jsonl, snapshot_json
+    from repro.obs.registry import MetricsRegistry
     from repro.plant.faults import FaultKind, progressive
+    from repro.system import build_mpros_system
 
     registry = MetricsRegistry()
     system = build_mpros_system(
@@ -159,7 +161,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     duplicated reports, shedding, or a breaker stuck open), so CI can
     gate on it directly.
     """
-    from repro.chaos import canonical_scenario, run_scenario, turbine_scenario
+    from repro.chaos.engine import run_scenario
+    from repro.chaos.scenario import canonical_scenario, turbine_scenario
     from repro.obs.registry import use_registry
 
     factories = {"canonical": canonical_scenario, "turbine": turbine_scenario}
@@ -184,9 +187,10 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
     ``--scenario none`` it runs a plain system (machinery faults only)
     and always exits 0.
     """
-    from repro.chaos import daemon_scenario
+    from repro.chaos.scenario import daemon_scenario
     from repro.obs.registry import use_registry
-    from repro.stream import DaemonConfig, StreamDaemon, drill_config, run_daemon_drill
+    from repro.stream.daemon import DaemonConfig, StreamDaemon
+    from repro.stream.drill import drill_config, run_daemon_drill
 
     if args.scenario not in ("daemon", "none"):
         print(f"unknown scenario {args.scenario!r}; know: daemon, none",
@@ -202,8 +206,8 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
             )
         print(report.summary())
         return 0 if report.ok else 1
-    from repro import build_mpros_system
     from repro.plant.faults import FaultKind, seeded
+    from repro.system import build_mpros_system
 
     with use_registry():
         system = build_mpros_system(
@@ -222,7 +226,7 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.hpc import FleetConfig, fleet_data_rate
+    from repro.hpc.datarates import FleetConfig, fleet_data_rate
 
     config = FleetConfig(n_ships=args.ships, dcs_per_ship=args.dcs)
     rates = fleet_data_rate(config)
@@ -235,7 +239,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def _render_formatted(report: "object", fmt: str) -> None:
     """Print a VerificationReport's diagnostics in the chosen format."""
-    from repro.analysis import render_jsonl, render_sarif
+    from repro.analysis.output import render_jsonl, render_sarif
     from repro.analysis.report import VerificationReport
 
     assert isinstance(report, VerificationReport)
@@ -256,7 +260,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     Exit 0 when clean, 1 when diagnostics fail the gate (errors; also
     warnings under ``--strict``), 2 on misuse.
     """
-    from repro.analysis import lint_paths, verify_bytes, verify_set
+    from repro.analysis.lint import lint_paths
+    from repro.analysis.sbfr_verifier import verify_bytes, verify_set
     from repro.analysis.report import VerificationReport
     from repro.common.errors import AnalysisError
 
@@ -336,7 +341,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     suppressed and do not fail the run; exit 1 only on *new* errors (or
     new warnings under ``--strict``), 2 on misuse.
     """
-    from repro.analysis import Baseline, SummaryCache, analyze_paths
+    from repro.analysis.analyze import analyze_paths
+    from repro.analysis.cache import SummaryCache
+    from repro.analysis.output import Baseline
     from repro.analysis.report import VerificationReport
     from repro.common.errors import AnalysisError
 
@@ -370,7 +377,11 @@ def _cmd_score(args: argparse.Namespace) -> int:
     regressions are caught by the golden scorecards instead.
     """
     from repro.common.errors import MprosError
-    from repro.validation import get_scenario, run_scenario_suite, scenario_names
+    from repro.validation.scenarios import (
+        get_scenario,
+        run_scenario_suite,
+        scenario_names,
+    )
 
     if args.all_scenarios:
         names = list(scenario_names())
@@ -428,7 +439,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import time as _time
 
     from repro.bench import _ingest_workload
-    from repro.gateway import gateway_for_sharded
+    from repro.gateway.service import gateway_for_sharded
     from repro.gateway.server import GatewayHTTPServer
     from repro.oosm.model import ShipModel
     from repro.pdme.shard import ShardedPdme

@@ -5,57 +5,33 @@ allocation goes through this package so that whole-system runs are
 deterministic and replayable.
 """
 
-from repro.common.clock import Clock, SimulatedClock
-from repro.common.errors import (
-    MprosError,
-    ProtocolError,
-    OosmError,
-    SbfrError,
-    FusionError,
-    AcquisitionError,
-    SchedulingError,
-    NetworkError,
-)
-from repro.common.ids import IdAllocator, ObjectId
-from repro.common.ringbuffer import RingBuffer
-from repro.common.rng import derive_rng, make_rng
-from repro.common.units import (
-    SECONDS_PER_DAY,
-    SECONDS_PER_HOUR,
-    SECONDS_PER_MONTH,
-    SECONDS_PER_WEEK,
-    days,
-    hours,
-    hz,
-    months,
-    rpm_to_hz,
-    weeks,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Clock",
-    "SimulatedClock",
-    "MprosError",
-    "ProtocolError",
-    "OosmError",
-    "SbfrError",
-    "FusionError",
-    "AcquisitionError",
-    "SchedulingError",
-    "NetworkError",
-    "IdAllocator",
-    "ObjectId",
-    "RingBuffer",
-    "derive_rng",
-    "make_rng",
-    "SECONDS_PER_DAY",
-    "SECONDS_PER_HOUR",
-    "SECONDS_PER_MONTH",
-    "SECONDS_PER_WEEK",
-    "days",
-    "hours",
-    "hz",
-    "months",
-    "rpm_to_hz",
-    "weeks",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.common.clock": ["Clock", "SimulatedClock"],
+    "repro.common.errors": [
+        "MprosError",
+        "ProtocolError",
+        "OosmError",
+        "SbfrError",
+        "FusionError",
+        "AcquisitionError",
+        "SchedulingError",
+        "NetworkError",
+    ],
+    "repro.common.ids": ["IdAllocator", "ObjectId"],
+    "repro.common.ringbuffer": ["RingBuffer"],
+    "repro.common.rng": ["derive_rng", "make_rng"],
+    "repro.common.units": [
+        "SECONDS_PER_DAY",
+        "SECONDS_PER_HOUR",
+        "SECONDS_PER_MONTH",
+        "SECONDS_PER_WEEK",
+        "days",
+        "hours",
+        "hz",
+        "months",
+        "rpm_to_hz",
+        "weeks",
+    ],
+})

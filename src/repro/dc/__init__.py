@@ -10,19 +10,16 @@ Plus the Figure-5 acquisition hardware in simulation: two 16x4 MUX
 cards with per-channel RMS detectors and a 4-channel DSP card.
 """
 
-from repro.dc.acquisition import AcquisitionChain, DspCard, MuxCard, RmsDetectorBank
-from repro.dc.concentrator import DataConcentrator, MonitoredMachine
-from repro.dc.database import DcDatabase
-from repro.dc.scheduler import EventScheduler, PeriodicTask
+from repro import lazy_exports
 
-__all__ = [
-    "AcquisitionChain",
-    "DspCard",
-    "MuxCard",
-    "RmsDetectorBank",
-    "DataConcentrator",
-    "MonitoredMachine",
-    "DcDatabase",
-    "EventScheduler",
-    "PeriodicTask",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.dc.acquisition": [
+        "AcquisitionChain",
+        "DspCard",
+        "MuxCard",
+        "RmsDetectorBank",
+    ],
+    "repro.dc.concentrator": ["DataConcentrator", "MonitoredMachine"],
+    "repro.dc.database": ["DcDatabase"],
+    "repro.dc.scheduler": ["EventScheduler", "PeriodicTask"],
+})

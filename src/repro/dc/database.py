@@ -10,6 +10,7 @@ can run diskless; pass a path for persistence.
 from __future__ import annotations
 
 import json
+import math
 import sqlite3
 from pathlib import Path
 from typing import Any
@@ -69,15 +70,26 @@ def _reject_constant(name: str) -> Any:
     raise ValueError(f"non-finite number {name}")
 
 
+def _finite_float(text: str) -> float:
+    # ``1e400`` is valid JSON that ``float`` reads as infinity.
+    value = float(text)
+    if math.isfinite(value):
+        return value
+    raise ValueError(f"non-finite number {text}")
+
+
 def _load_object(table: str, text: Any) -> dict[str, Any]:
     """Parse one stored JSON object column.
 
-    ``NaN`` and ``±Infinity`` are refused: every value the DC writes is
-    finite, so one in a row means the file was damaged or edited.  Any
-    corrupt row becomes an :class:`MprosError` naming its table.
+    ``NaN``, ``±Infinity`` and numbers that overflow a float (``1e400``)
+    are refused: every value the DC writes is finite, so one in a row
+    means the file was damaged or edited.  Any corrupt row becomes an
+    :class:`MprosError` naming its table.
     """
     try:
-        value = json.loads(text, parse_constant=_reject_constant)
+        value = json.loads(
+            text, parse_float=_finite_float, parse_constant=_reject_constant
+        )
     except (TypeError, ValueError) as exc:
         raise MprosError(f"corrupt row in DC database table {table}: {exc}") from None
     if not isinstance(value, dict):

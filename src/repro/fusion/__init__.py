@@ -6,59 +6,39 @@ with a conservative envelope.  :class:`KnowledgeFusionEngine` wires
 both to the OOSM event stream.
 """
 
-from repro.fusion.dempster_shafer import (
-    MassFunction,
-    combine,
-    combine_many,
-    conflict,
-)
-from repro.fusion.diagnostic import DiagnosticFusion, FusedDiagnosis
-from repro.fusion.groups import GroupRegistry, LogicalGroup
-from repro.fusion.prognostic import (
-    PrognosticFusion,
-    conservative_envelope,
-    noisy_or_envelope,
-)
-from repro.fusion.engine import KnowledgeFusionEngine
-from repro.fusion.bayes import BayesDiagnosticFusion, BayesNet, learn_source_model
-from repro.fusion.hierarchy import HealthRollup
-from repro.fusion.spatial import (
-    flow_contamination_candidates,
-    transmitted_vibration_candidates,
-)
-from repro.fusion.temporal import EpisodeTracker, TemporalAnalyzer
-from repro.fusion.survival import (
-    LifeRecord,
-    WeibullFit,
-    fit_weibull,
-    kaplan_meier,
-    survival_refined_prognostic,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "EpisodeTracker",
-    "TemporalAnalyzer",
-    "BayesDiagnosticFusion",
-    "BayesNet",
-    "learn_source_model",
-    "HealthRollup",
-    "flow_contamination_candidates",
-    "transmitted_vibration_candidates",
-    "LifeRecord",
-    "WeibullFit",
-    "fit_weibull",
-    "kaplan_meier",
-    "survival_refined_prognostic",
-    "MassFunction",
-    "combine",
-    "combine_many",
-    "conflict",
-    "DiagnosticFusion",
-    "FusedDiagnosis",
-    "GroupRegistry",
-    "LogicalGroup",
-    "PrognosticFusion",
-    "conservative_envelope",
-    "noisy_or_envelope",
-    "KnowledgeFusionEngine",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.fusion.dempster_shafer": [
+        "MassFunction",
+        "combine",
+        "combine_many",
+        "conflict",
+    ],
+    "repro.fusion.diagnostic": ["DiagnosticFusion", "FusedDiagnosis"],
+    "repro.fusion.groups": ["GroupRegistry", "LogicalGroup"],
+    "repro.fusion.prognostic": [
+        "PrognosticFusion",
+        "conservative_envelope",
+        "noisy_or_envelope",
+    ],
+    "repro.fusion.engine": ["KnowledgeFusionEngine"],
+    "repro.fusion.bayes": [
+        "BayesDiagnosticFusion",
+        "BayesNet",
+        "learn_source_model",
+    ],
+    "repro.fusion.hierarchy": ["HealthRollup"],
+    "repro.fusion.spatial": [
+        "flow_contamination_candidates",
+        "transmitted_vibration_candidates",
+    ],
+    "repro.fusion.temporal": ["EpisodeTracker", "TemporalAnalyzer"],
+    "repro.fusion.survival": [
+        "LifeRecord",
+        "WeibullFit",
+        "fit_weibull",
+        "kaplan_meier",
+        "survival_refined_prognostic",
+    ],
+})

@@ -9,50 +9,31 @@ over the sharded PDME's partition logs so readers never contend with
 ingest.  See :mod:`repro.gateway.service` for the architecture notes.
 """
 
-from repro.gateway.cache import DEFAULT_MAX_ENTRIES, VersionedCache
-from repro.gateway.pagination import (
-    DEFAULT_PAGE_SIZE,
-    MAX_PAGE_SIZE,
-    Page,
-    clamp_limit,
-    decode_cursor,
-    encode_cursor,
-    page_sequence,
-)
-from repro.gateway.replica import ReadReplica
-from repro.gateway.resources import (
-    Alarm,
-    ManagedObject,
-    Measurement,
-    Report,
-    Subscription,
-)
-from repro.gateway.server import GatewayHTTPServer, serve
-from repro.gateway.service import (
-    FleetGateway,
-    gateway_for_executive,
-    gateway_for_sharded,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Alarm",
-    "DEFAULT_MAX_ENTRIES",
-    "DEFAULT_PAGE_SIZE",
-    "FleetGateway",
-    "GatewayHTTPServer",
-    "ManagedObject",
-    "MAX_PAGE_SIZE",
-    "Measurement",
-    "Page",
-    "ReadReplica",
-    "Report",
-    "Subscription",
-    "VersionedCache",
-    "clamp_limit",
-    "decode_cursor",
-    "encode_cursor",
-    "gateway_for_executive",
-    "gateway_for_sharded",
-    "page_sequence",
-    "serve",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.gateway.cache": ["DEFAULT_MAX_ENTRIES", "VersionedCache"],
+    "repro.gateway.pagination": [
+        "DEFAULT_PAGE_SIZE",
+        "MAX_PAGE_SIZE",
+        "Page",
+        "clamp_limit",
+        "decode_cursor",
+        "encode_cursor",
+        "page_sequence",
+    ],
+    "repro.gateway.replica": ["ReadReplica"],
+    "repro.gateway.resources": [
+        "Alarm",
+        "ManagedObject",
+        "Measurement",
+        "Report",
+        "Subscription",
+    ],
+    "repro.gateway.server": ["GatewayHTTPServer", "serve"],
+    "repro.gateway.service": [
+        "FleetGateway",
+        "gateway_for_executive",
+        "gateway_for_sharded",
+    ],
+})

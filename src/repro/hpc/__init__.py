@@ -11,26 +11,16 @@ allocation-free per the HPC guides), a multiprocessing DC replay farm, and
 embedded resource budgets for the SBFR footprint/cycle claims.
 """
 
-from repro.hpc.budget import EmbeddedBudget, check_sbfr_budget
-from repro.hpc.datarates import FleetConfig, fleet_data_rate, LoadGenerator
-from repro.hpc.parallel import (
-    DcReplaySpec,
-    merge_fleet_reports,
-    replay_dc,
-    replay_fleet,
-)
-from repro.hpc.pipeline import ChannelSummary, FeaturePipeline
+from repro import lazy_exports
 
-__all__ = [
-    "EmbeddedBudget",
-    "check_sbfr_budget",
-    "FleetConfig",
-    "fleet_data_rate",
-    "LoadGenerator",
-    "DcReplaySpec",
-    "merge_fleet_reports",
-    "replay_dc",
-    "replay_fleet",
-    "ChannelSummary",
-    "FeaturePipeline",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.hpc.budget": ["EmbeddedBudget", "check_sbfr_budget"],
+    "repro.hpc.datarates": ["FleetConfig", "fleet_data_rate", "LoadGenerator"],
+    "repro.hpc.parallel": [
+        "DcReplaySpec",
+        "merge_fleet_reports",
+        "replay_dc",
+        "replay_fleet",
+    ],
+    "repro.hpc.pipeline": ["ChannelSummary", "FeaturePipeline"],
+})

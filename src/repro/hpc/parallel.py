@@ -86,7 +86,7 @@ def replay_dc(spec: DcReplaySpec) -> list[FailurePredictionReport]:
     from repro.dc.concentrator import DataConcentrator
     from repro.netsim.kernel import EventKernel
     from repro.obs.registry import MetricsRegistry
-    from repro.plant import FaultKind
+    from repro.plant.faults import FaultKind
     from repro.plant.chiller import ChillerSimulator
     from repro.plant.faults import progressive, seeded
 

@@ -9,18 +9,11 @@ timeouts and retries — enough to exercise §4.9's "power supply and
 communications ... may not be the same on board the ships" scenarios.
 """
 
-from repro.netsim.kernel import EventKernel
-from repro.netsim.network import Link, LinkConfig, Network
-from repro.netsim.rpc import RpcEndpoint, RpcError
-from repro.netsim.transport import decode_message, encode_message
+from repro import lazy_exports
 
-__all__ = [
-    "EventKernel",
-    "Link",
-    "LinkConfig",
-    "Network",
-    "RpcEndpoint",
-    "RpcError",
-    "decode_message",
-    "encode_message",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.netsim.kernel": ["EventKernel"],
+    "repro.netsim.network": ["Link", "LinkConfig", "Network"],
+    "repro.netsim.rpc": ["RpcEndpoint", "RpcError"],
+    "repro.netsim.transport": ["decode_message", "encode_message"],
+})

@@ -10,6 +10,7 @@ checksum instead of silently altering a report's contents.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from typing import Any
@@ -24,15 +25,26 @@ _HEADER = struct.Struct("<II")  # body length, CRC32(body)
 
 
 class _NonFinite(ValueError):
-    """A ``NaN``/``Infinity`` literal in a frame body."""
+    """A ``NaN``/``Infinity`` literal, or a number too large for a float,
+    in a frame body."""
 
 
 def _reject_constant(name: str) -> Any:
     raise _NonFinite(name)
 
 
+def _finite_float(text: str) -> float:
+    # ``1e400`` is valid JSON that ``float`` reads as infinity.
+    value = float(text)
+    if math.isfinite(value):
+        return value
+    raise _NonFinite(text)
+
+
 #: Built once: ``json.loads`` with a keyword builds a decoder per call.
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_DECODER = json.JSONDecoder(
+    parse_float=_finite_float, parse_constant=_reject_constant
+)
 
 
 def encode_message(
@@ -59,7 +71,8 @@ def decode_message(
     Raises :class:`NetworkError` on truncation, checksum mismatch, or
     malformed content — the receiver treats all of these as line noise.
     A ``NaN`` or ``Infinity`` literal is malformed content: JSON has
-    no such numbers, and no valid message carries one.
+    no such numbers, and no valid message carries one.  Neither does a
+    number that overflows a float, such as ``1e400``.
     """
     reg = metrics if metrics is not None else default_registry()
 

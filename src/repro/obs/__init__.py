@@ -6,30 +6,19 @@ rules (no wall-clock calls, fixed histogram edges, deterministic
 snapshots).
 """
 
-from repro.obs.export import export_jsonl, snapshot_json
-from repro.obs.registry import (
-    DEFAULT_TIME_EDGES,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    default_registry,
-    render_series,
-    use_registry,
-)
-from repro.obs.spans import Span, Tracer
+from repro import lazy_exports
 
-__all__ = [
-    "DEFAULT_TIME_EDGES",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Span",
-    "Tracer",
-    "default_registry",
-    "export_jsonl",
-    "render_series",
-    "snapshot_json",
-    "use_registry",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.export": ["export_jsonl", "snapshot_json"],
+    "repro.obs.registry": [
+        "DEFAULT_TIME_EDGES",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "default_registry",
+        "render_series",
+        "use_registry",
+    ],
+    "repro.obs.spans": ["Span", "Tracer"],
+})

@@ -8,50 +8,28 @@ of polling; persistence maps objects onto a relational database
 (sqlite3) in the background.
 """
 
-from repro.oosm.events import (
-    EntityCreated,
-    EntityDeleted,
-    EventBus,
-    PropertyChanged,
-    RelationshipAdded,
-    RelationshipRemoved,
-    ReportBatchPosted,
-    ReportPosted,
-)
-from repro.oosm.model import Entity, Relationship, ShipModel
-from repro.oosm.persistence import ReportStore, load_model, save_model
-from repro.oosm.query import (
-    downstream_of,
-    parts_closure,
-    proximate_entities,
-    system_of,
-    to_graph,
-)
-from repro.oosm.schema import EntityType, TypeRegistry, default_types
-from repro.oosm.shipyard import build_chilled_water_ship
+from repro import lazy_exports
 
-__all__ = [
-    "EntityCreated",
-    "EntityDeleted",
-    "EventBus",
-    "PropertyChanged",
-    "RelationshipAdded",
-    "RelationshipRemoved",
-    "ReportBatchPosted",
-    "ReportPosted",
-    "Entity",
-    "Relationship",
-    "ShipModel",
-    "ReportStore",
-    "load_model",
-    "save_model",
-    "downstream_of",
-    "parts_closure",
-    "proximate_entities",
-    "system_of",
-    "to_graph",
-    "EntityType",
-    "TypeRegistry",
-    "default_types",
-    "build_chilled_water_ship",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.oosm.events": [
+        "EntityCreated",
+        "EntityDeleted",
+        "EventBus",
+        "PropertyChanged",
+        "RelationshipAdded",
+        "RelationshipRemoved",
+        "ReportBatchPosted",
+        "ReportPosted",
+    ],
+    "repro.oosm.model": ["Entity", "Relationship", "ShipModel"],
+    "repro.oosm.persistence": ["ReportStore", "load_model", "save_model"],
+    "repro.oosm.query": [
+        "downstream_of",
+        "parts_closure",
+        "proximate_entities",
+        "system_of",
+        "to_graph",
+    ],
+    "repro.oosm.schema": ["EntityType", "TypeRegistry", "default_types"],
+    "repro.oosm.shipyard": ["build_chilled_water_ship"],
+})

@@ -18,6 +18,7 @@ not one query per report.
 from __future__ import annotations
 
 import json
+import math
 import sqlite3
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -58,6 +59,14 @@ CREATE TABLE IF NOT EXISTS reports (
 
 def _reject_constant(name: str) -> object:
     raise ValueError(f"non-finite number {name}")
+
+
+def _finite_float(text: str) -> float:
+    # ``1e400`` is valid JSON that ``float`` reads as infinity.
+    value = float(text)
+    if math.isfinite(value):
+        return value
+    raise ValueError(f"non-finite number {text}")
 
 
 def save_model(model: ShipModel, path: str | Path) -> None:
@@ -140,7 +149,9 @@ def load_model(path: str | Path) -> ShipModel:
             "SELECT entity_id, name, value FROM properties"
         ):
             try:
-                decoded = json.loads(value, parse_constant=_reject_constant)
+                decoded = json.loads(
+                    value, parse_float=_finite_float, parse_constant=_reject_constant
+                )
             except (TypeError, ValueError) as exc:
                 raise OosmError(
                     f"table properties: value of {name!r} on {eid!r} "

@@ -5,15 +5,19 @@ structure ("the health of a system based on the health of a
 constituent part"), spatial proximity ("a device is vibrating because a
 component next to it is broken") and flows ("one component passing
 fouled fluids on to other components downstream").  These helpers give
-KF and the PDME those views, built on networkx.
+KF and the PDME those views.  :func:`to_graph` and :func:`flow_path`
+are built on networkx, which they import when called.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.common.ids import ObjectId
 from repro.oosm.model import ShipModel
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def to_graph(model: ShipModel, kinds: tuple[str, ...] | None = None) -> nx.MultiDiGraph:
@@ -27,6 +31,8 @@ def to_graph(model: ShipModel, kinds: tuple[str, ...] | None = None) -> nx.Multi
     rebuilds.  The returned graph is shared — treat it as read-only;
     callers that need to mutate must ``.copy()`` it.
     """
+    import networkx as nx
+
     key = ("to_graph", kinds)
     cached = model.derived_cache.get(key)
     if cached is not None and cached[0] == model.version:
@@ -117,6 +123,8 @@ def upstream_of(model: ShipModel, entity_id: ObjectId) -> set[ObjectId]:
 
 def flow_path(model: ShipModel, source_id: ObjectId, target_id: ObjectId) -> list[ObjectId]:
     """Shortest flow path between two components ([] if none)."""
+    import networkx as nx
+
     g = to_graph(model, kinds=("flow",))
     try:
         return nx.shortest_path(g, source_id, target_id)

@@ -6,26 +6,17 @@ Fusion of conflicting and reinforcing source conclusions is performed
 to form a prioritized list for the use of maintenance personnel."
 """
 
-from repro.pdme.browser import render_machine_screen, render_priority_list
-from repro.pdme.executive import PdmeExecutive
-from repro.pdme.priorities import PriorityEntry, prioritize
-from repro.pdme.shard import (
-    ShardedFusionEngine,
-    ShardedPdme,
-    ShardLayout,
-    ShardWorker,
-    parallel_shard_ingest,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "render_machine_screen",
-    "render_priority_list",
-    "PdmeExecutive",
-    "PriorityEntry",
-    "prioritize",
-    "ShardLayout",
-    "ShardWorker",
-    "ShardedFusionEngine",
-    "ShardedPdme",
-    "parallel_shard_ingest",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.pdme.browser": ["render_machine_screen", "render_priority_list"],
+    "repro.pdme.executive": ["PdmeExecutive"],
+    "repro.pdme.priorities": ["PriorityEntry", "prioritize"],
+    "repro.pdme.shard": [
+        "ShardedFusionEngine",
+        "ShardedPdme",
+        "ShardLayout",
+        "ShardWorker",
+        "parallel_shard_ingest",
+    ],
+})

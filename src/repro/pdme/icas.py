@@ -20,7 +20,6 @@ import math
 from typing import Any, Callable
 
 from repro.common.errors import MprosError
-from repro.fusion.hierarchy import HealthRollup
 from repro.netsim.rpc import RpcEndpoint
 from repro.pdme.executive import PdmeExecutive
 
@@ -74,6 +73,8 @@ def register_icas_interface(pdme: PdmeExecutive, endpoint: RpcEndpoint) -> None:
         }
 
     def get_health(payload: dict[str, Any]) -> dict[str, Any]:
+        from repro.fusion.hierarchy import HealthRollup
+
         entity_id = str(payload["entity_id"])
         rollup = HealthRollup(pdme.model, pdme.engine)
         a = rollup.assess(entity_id)

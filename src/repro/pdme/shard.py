@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Collection, Sequence
 
@@ -627,6 +626,8 @@ def parallel_shard_ingest(
     per-object substream order; evaluation happens at the one global
     ``as_of``).
     """
+    from concurrent.futures import ProcessPoolExecutor
+
     registry_for_plant(plant)  # validate the name before forking
     ids = list(report_ids) if report_ids is not None else [None] * len(reports)
     if len(ids) != len(reports):

@@ -11,54 +11,39 @@ Figure 3.  See DESIGN.md §2 for why each substitution preserves the
 behaviour the algorithms exercise.
 """
 
-from repro.plant.chiller import ChillerConfig, ChillerSimulator, ProcessSample
-from repro.plant.ema import EmaSimulator
-from repro.plant.faults import (
-    FMEA_CANDIDATES,
-    TURBINE_FMEA_CANDIDATES,
-    ActiveFault,
-    FaultKind,
-    SensorFault,
-    SensorFaultMode,
-    SeverityProfile,
-    VIBRATION_FAULTS,
-    PROCESS_FAULTS,
-    sensor_dropout,
-    sensor_stuck,
-)
-from repro.plant.rotating import BearingGeometry, MachineKinematics, bearing_frequencies
-from repro.plant.sensors import SensorModel
-from repro.plant.signals import VibrationSynthesizer
-from repro.plant.turbine import (
-    TURBINE_KINEMATICS,
-    TURBINE_NOMINALS,
-    TurbineConfig,
-    TurbineSimulator,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ChillerConfig",
-    "ChillerSimulator",
-    "ProcessSample",
-    "EmaSimulator",
-    "TURBINE_FMEA_CANDIDATES",
-    "TURBINE_KINEMATICS",
-    "TURBINE_NOMINALS",
-    "TurbineConfig",
-    "TurbineSimulator",
-    "FMEA_CANDIDATES",
-    "ActiveFault",
-    "FaultKind",
-    "SensorFault",
-    "SensorFaultMode",
-    "SeverityProfile",
-    "sensor_dropout",
-    "sensor_stuck",
-    "VIBRATION_FAULTS",
-    "PROCESS_FAULTS",
-    "BearingGeometry",
-    "MachineKinematics",
-    "bearing_frequencies",
-    "SensorModel",
-    "VibrationSynthesizer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.plant.chiller": [
+        "ChillerConfig",
+        "ChillerSimulator",
+        "ProcessSample",
+    ],
+    "repro.plant.ema": ["EmaSimulator"],
+    "repro.plant.faults": [
+        "FMEA_CANDIDATES",
+        "TURBINE_FMEA_CANDIDATES",
+        "ActiveFault",
+        "FaultKind",
+        "SensorFault",
+        "SensorFaultMode",
+        "SeverityProfile",
+        "VIBRATION_FAULTS",
+        "PROCESS_FAULTS",
+        "sensor_dropout",
+        "sensor_stuck",
+    ],
+    "repro.plant.rotating": [
+        "BearingGeometry",
+        "MachineKinematics",
+        "bearing_frequencies",
+    ],
+    "repro.plant.sensors": ["SensorModel"],
+    "repro.plant.signals": ["VibrationSynthesizer"],
+    "repro.plant.turbine": [
+        "TURBINE_KINEMATICS",
+        "TURBINE_NOMINALS",
+        "TurbineConfig",
+        "TurbineSimulator",
+    ],
+})

@@ -5,22 +5,16 @@ identifiers, machine condition, severity, belief, human-readable text
 and an optional prognostic vector of (probability, time) pairs.
 """
 
-from repro.protocol.canonical import canonical_json, report_to_dict
-from repro.protocol.prognostic import PrognosticPoint, PrognosticVector
-from repro.protocol.report import FailurePredictionReport, ReportKind
-from repro.protocol.severity import SeverityGrade, grade_from_score, grade_to_horizon
-from repro.protocol.wire import decode_report, encode_report
+from repro import lazy_exports
 
-__all__ = [
-    "canonical_json",
-    "report_to_dict",
-    "PrognosticPoint",
-    "PrognosticVector",
-    "FailurePredictionReport",
-    "ReportKind",
-    "SeverityGrade",
-    "grade_from_score",
-    "grade_to_horizon",
-    "decode_report",
-    "encode_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.protocol.canonical": ["canonical_json", "report_to_dict"],
+    "repro.protocol.prognostic": ["PrognosticPoint", "PrognosticVector"],
+    "repro.protocol.report": ["FailurePredictionReport", "ReportKind"],
+    "repro.protocol.severity": [
+        "SeverityGrade",
+        "grade_from_score",
+        "grade_to_horizon",
+    ],
+    "repro.protocol.wire": ["decode_report", "encode_report"],
+})

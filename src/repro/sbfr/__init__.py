@@ -13,61 +13,35 @@ download, the multi-machine interpreter, a numpy-vectorized batch
 executor, and the paper's Figure-3 EMA spike/stiction machines.
 """
 
-from repro.sbfr.spec import (
-    And,
-    Const,
-    Delta,
-    Elapsed,
-    IncrLocal,
-    Input,
-    Local,
-    MachineSpec,
-    Not,
-    Or,
-    OrStatus,
-    SetLocal,
-    SetStatus,
-    State,
-    Status,
-    Transition,
-    cmp,
-)
-from repro.sbfr.encode import decode_machine, encode_machine, encoded_size
-from repro.sbfr.interpreter import MachineState, SbfrSystem
-from repro.sbfr.library import (
-    build_spike_machine,
-    build_stiction_machine,
-    count_threshold_machine,
-    level_alarm_machine,
-)
-from repro.sbfr.batch import SbfrWatchGrid
+from repro import lazy_exports
 
-__all__ = [
-    "And",
-    "Const",
-    "Delta",
-    "Elapsed",
-    "IncrLocal",
-    "Input",
-    "Local",
-    "MachineSpec",
-    "Not",
-    "Or",
-    "OrStatus",
-    "SetLocal",
-    "SetStatus",
-    "State",
-    "Status",
-    "Transition",
-    "cmp",
-    "decode_machine",
-    "encode_machine",
-    "encoded_size",
-    "MachineState",
-    "SbfrSystem",
-    "build_spike_machine",
-    "build_stiction_machine",
-    "count_threshold_machine",
-    "level_alarm_machine",
-    "SbfrWatchGrid",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sbfr.spec": [
+        "And",
+        "Const",
+        "Delta",
+        "Elapsed",
+        "IncrLocal",
+        "Input",
+        "Local",
+        "MachineSpec",
+        "Not",
+        "Or",
+        "OrStatus",
+        "SetLocal",
+        "SetStatus",
+        "State",
+        "Status",
+        "Transition",
+        "cmp",
+    ],
+    "repro.sbfr.encode": ["decode_machine", "encode_machine", "encoded_size"],
+    "repro.sbfr.interpreter": ["MachineState", "SbfrSystem"],
+    "repro.sbfr.library": [
+        "build_spike_machine",
+        "build_stiction_machine",
+        "count_threshold_machine",
+        "level_alarm_machine",
+    ],
+    "repro.sbfr.batch": ["SbfrWatchGrid"],
+})

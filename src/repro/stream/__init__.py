@@ -22,32 +22,30 @@ Time is simulated end to end, so every drill and recovery-time gate is
 deterministic and replayable.
 """
 
-from repro.stream.backpressure import BackpressureController, BackpressureEvent
-from repro.stream.catchup import CatchupController, CatchupStats
-from repro.stream.daemon import STAGES, DaemonConfig, DaemonReport, StreamDaemon
-from repro.stream.drill import (
-    RECOVERY_CEILING,
-    DaemonDrillReport,
-    drill_config,
-    run_daemon_drill,
-)
-from repro.stream.watchdog import RUNGS, Watchdog, WatchdogEvent, WatchdogStats
+from repro import lazy_exports
 
-__all__ = [
-    "BackpressureController",
-    "BackpressureEvent",
-    "CatchupController",
-    "CatchupStats",
-    "DaemonConfig",
-    "DaemonDrillReport",
-    "DaemonReport",
-    "RECOVERY_CEILING",
-    "RUNGS",
-    "STAGES",
-    "StreamDaemon",
-    "Watchdog",
-    "WatchdogEvent",
-    "WatchdogStats",
-    "drill_config",
-    "run_daemon_drill",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.stream.backpressure": [
+        "BackpressureController",
+        "BackpressureEvent",
+    ],
+    "repro.stream.catchup": ["CatchupController", "CatchupStats"],
+    "repro.stream.daemon": [
+        "STAGES",
+        "DaemonConfig",
+        "DaemonReport",
+        "StreamDaemon",
+    ],
+    "repro.stream.drill": [
+        "RECOVERY_CEILING",
+        "DaemonDrillReport",
+        "drill_config",
+        "run_daemon_drill",
+    ],
+    "repro.stream.watchdog": [
+        "RUNGS",
+        "Watchdog",
+        "WatchdogEvent",
+        "WatchdogStats",
+    ],
+})

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import MprosError
 from repro.obs.registry import MetricsRegistry, default_registry
-from repro.supervisor import DcHealth
+from repro.supervisor.heartbeat import DcHealth
 from repro.system import MprosSystem
 
 #: Escalation rungs, in order.

@@ -20,22 +20,19 @@ Everything is driven by the simulated clock — deterministic, testable,
 and identical in behaviour on real hardware with a monotonic clock.
 """
 
-from repro.supervisor.breaker import (
-    BreakerState,
-    BreakerTrippedError,
-    CircuitBreaker,
-    GuardedEndpoint,
-)
-from repro.supervisor.heartbeat import DcHealth, HeartbeatEmitter, HeartbeatMonitor
-from repro.supervisor.quarantine import SensorQuarantine
+from repro import lazy_exports
 
-__all__ = [
-    "BreakerState",
-    "BreakerTrippedError",
-    "CircuitBreaker",
-    "DcHealth",
-    "GuardedEndpoint",
-    "HeartbeatEmitter",
-    "HeartbeatMonitor",
-    "SensorQuarantine",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.supervisor.breaker": [
+        "BreakerState",
+        "BreakerTrippedError",
+        "CircuitBreaker",
+        "GuardedEndpoint",
+    ],
+    "repro.supervisor.heartbeat": [
+        "DcHealth",
+        "HeartbeatEmitter",
+        "HeartbeatMonitor",
+    ],
+    "repro.supervisor.quarantine": ["SensorQuarantine"],
+})

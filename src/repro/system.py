@@ -11,43 +11,36 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.algorithms.dli.engine import DliExpertSystem
-from repro.algorithms.fuzzy.engine import FuzzyDiagnostics
-from repro.algorithms.sbfr_source import SbfrKnowledgeSource, default_turbine_watches
 from repro.common.errors import MprosError
-from repro.common.rng import derive_rng, make_rng
-from repro.dc.concentrator import DataConcentrator
-from repro.hpc.parallel import DcReplaySpec, replay_fleet
-from repro.protocol.report import FailurePredictionReport
-from repro.dc.scheduler import EventScheduler
-from repro.dc.uplink import ReportUplink
-from repro.netsim.kernel import EventKernel
-from repro.netsim.network import LinkConfig, Network
-from repro.netsim.rpc import RpcEndpoint
-from repro.obs.registry import MetricsRegistry, default_registry
-from repro.oosm.model import ShipModel
-from repro.oosm.shipyard import (
-    ChillerUnit,
-    TurbineUnit,
-    build_chilled_water_ship,
-    build_codlag_ship,
-)
-from repro.pdme.browser import render_machine_screen, render_priority_list
-from repro.pdme.executive import PdmeExecutive
-from repro.pdme.icas import register_icas_interface
-from repro.plant.chiller import ChillerSimulator
-from repro.plant.faults import ActiveFault
-from repro.plant.turbine import TurbineSimulator
-from repro.supervisor import (
-    CircuitBreaker,
-    DcHealth,
-    GuardedEndpoint,
-    HeartbeatEmitter,
-    HeartbeatMonitor,
-)
+from repro.obs.registry import MetricsRegistry
+
+# The DC, algorithm, plant, supervisor and network stacks are imported
+# inside the functions that assemble them, so a process that uses only
+# part of the system (a PDME shard, the gateway) never loads the rest.
+if TYPE_CHECKING:
+    from repro.dc.concentrator import DataConcentrator
+    from repro.dc.scheduler import EventScheduler
+    from repro.dc.uplink import ReportUplink
+    from repro.hpc.parallel import DcReplaySpec
+    from repro.netsim.kernel import EventKernel
+    from repro.netsim.network import LinkConfig, Network
+    from repro.netsim.rpc import RpcEndpoint
+    from repro.oosm.model import ShipModel
+    from repro.oosm.shipyard import ChillerUnit, TurbineUnit
+    from repro.pdme.executive import PdmeExecutive
+    from repro.pdme.shard import ShardedPdme
+    from repro.plant.chiller import ChillerSimulator
+    from repro.plant.faults import ActiveFault
+    from repro.plant.turbine import TurbineSimulator
+    from repro.protocol.report import FailurePredictionReport
+    from repro.supervisor.breaker import CircuitBreaker
+    from repro.supervisor.heartbeat import (
+        DcHealth,
+        HeartbeatEmitter,
+        HeartbeatMonitor,
+    )
 
 
 @dataclass
@@ -91,12 +84,16 @@ class MprosSystem:
     # -- views ------------------------------------------------------------
     def browser_screen(self, machine_id: str) -> str:
         """The Fig. 2 browser screen for one machine."""
+        from repro.pdme.browser import render_machine_screen
+
         return render_machine_screen(
             self.model, self.pdme.engine, machine_id, now=self.kernel.now()
         )
 
     def priority_screen(self) -> str:
         """The ship-wide prioritized maintenance list."""
+        from repro.pdme.browser import render_priority_list
+
         return render_priority_list(self.pdme.priorities(now=self.kernel.now()))
 
     def reports_received(self) -> int:
@@ -204,6 +201,28 @@ def build_mpros_system(
     into the DC database so :meth:`MprosSystem.crash_dc` /
     :meth:`~MprosSystem.restart_dc` lose no reports.
     """
+    from repro.algorithms.dli.engine import DliExpertSystem
+    from repro.algorithms.fuzzy.engine import FuzzyDiagnostics
+    from repro.algorithms.sbfr_source import (
+        SbfrKnowledgeSource,
+        default_turbine_watches,
+    )
+    from repro.common.rng import derive_rng, make_rng
+    from repro.dc.concentrator import DataConcentrator
+    from repro.dc.scheduler import EventScheduler
+    from repro.dc.uplink import ReportUplink
+    from repro.netsim.kernel import EventKernel
+    from repro.netsim.network import Network
+    from repro.netsim.rpc import RpcEndpoint
+    from repro.obs.registry import default_registry
+    from repro.oosm.shipyard import build_chilled_water_ship, build_codlag_ship
+    from repro.pdme.executive import PdmeExecutive
+    from repro.pdme.icas import register_icas_interface
+    from repro.plant.chiller import ChillerSimulator
+    from repro.plant.turbine import TurbineSimulator
+    from repro.supervisor.breaker import CircuitBreaker, GuardedEndpoint
+    from repro.supervisor.heartbeat import HeartbeatEmitter, HeartbeatMonitor
+
     if n_chillers < 1:
         raise MprosError("need at least one chiller")
     if plant not in ("chiller", "turbine"):
@@ -339,6 +358,8 @@ def build_fleet_specs(
     run healthy.  The same spec list replayed serially or across a
     process pool produces a bit-identical merged report stream.
     """
+    from repro.hpc.parallel import DcReplaySpec
+
     if n_dcs < 1 or machines_per_dc < 1:
         raise MprosError("need n_dcs >= 1 and machines_per_dc >= 1")
     duration = hours * 3600.0
@@ -372,6 +393,9 @@ def replay_fleet_to_model(
     reports land in the model oldest-first, exactly as a live DC →
     network → PDME run would deposit them.
     """
+    from repro.hpc.parallel import replay_fleet
+    from repro.oosm.model import ShipModel
+
     model = ShipModel()
     for spec in specs:
         for machine_id in spec.machine_ids():
@@ -386,7 +410,7 @@ def build_sharded_pdme(
     n_shards: int,
     plant: str = "chiller",
     store_dir: str | None = None,
-) -> "ShardedPdme":
+) -> ShardedPdme:
     """A sharded PDME router for the given plant domain.
 
     With ``store_dir`` the partitions are file-backed (one sqlite file

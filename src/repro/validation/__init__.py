@@ -6,60 +6,38 @@ faults, destructive (run-to-failure) testing, archived maintenance
 data, and human-expert agreement — plus the metrics to score them.
 """
 
-from repro.validation.analyst import AnalystDecision, SyntheticAnalyst
-from repro.validation.archives import MaintenanceRecord, generate_archive
-from repro.validation.destructive import DestructiveTestResult, run_destructive_test
-from repro.validation.metrics import (
-    CampaignMetrics,
-    detection_latency,
-    precision_recall,
-    prognostic_error,
-)
-from repro.validation.scenarios import (
-    ScenarioSpec,
-    chiller_scenario,
-    get_scenario,
-    run_scenario_suite,
-    scenario_names,
-    turbine_scenario_spec,
-)
-from repro.validation.scoring import (
-    CostModel,
-    RunScore,
-    ScenarioScorecard,
-    bootstrap_ci,
-    maintenance_cost,
-    score_run,
-    score_scenario,
-    timeliness,
-)
-from repro.validation.seeded import CampaignRecord, SeededFaultCampaign
+from repro import lazy_exports
 
-__all__ = [
-    "CostModel",
-    "RunScore",
-    "ScenarioScorecard",
-    "ScenarioSpec",
-    "bootstrap_ci",
-    "chiller_scenario",
-    "get_scenario",
-    "maintenance_cost",
-    "run_scenario_suite",
-    "scenario_names",
-    "score_run",
-    "score_scenario",
-    "timeliness",
-    "turbine_scenario_spec",
-    "AnalystDecision",
-    "SyntheticAnalyst",
-    "MaintenanceRecord",
-    "generate_archive",
-    "DestructiveTestResult",
-    "run_destructive_test",
-    "CampaignMetrics",
-    "detection_latency",
-    "precision_recall",
-    "prognostic_error",
-    "CampaignRecord",
-    "SeededFaultCampaign",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.validation.analyst": ["AnalystDecision", "SyntheticAnalyst"],
+    "repro.validation.archives": ["MaintenanceRecord", "generate_archive"],
+    "repro.validation.destructive": [
+        "DestructiveTestResult",
+        "run_destructive_test",
+    ],
+    "repro.validation.metrics": [
+        "CampaignMetrics",
+        "detection_latency",
+        "precision_recall",
+        "prognostic_error",
+    ],
+    "repro.validation.scenarios": [
+        "ScenarioSpec",
+        "chiller_scenario",
+        "get_scenario",
+        "run_scenario_suite",
+        "scenario_names",
+        "turbine_scenario_spec",
+    ],
+    "repro.validation.scoring": [
+        "CostModel",
+        "RunScore",
+        "ScenarioScorecard",
+        "bootstrap_ci",
+        "maintenance_cost",
+        "score_run",
+        "score_scenario",
+        "timeliness",
+    ],
+    "repro.validation.seeded": ["CampaignRecord", "SeededFaultCampaign"],
+})

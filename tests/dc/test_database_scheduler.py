@@ -93,6 +93,7 @@ def _db_with_rows(tmp_path, sql, rows):
 @pytest.mark.parametrize(
     "config",
     ['{"shaft_hz": NaN}', '{"shaft_hz": Infinity}', '{"shaft_hz": -Infinity}',
+     '{"shaft_hz": 1e400}', '{"shaft_hz": -1e400}',
      '{"shaft_hz": 59.3', "[59.3]", "\"59.3\""],
 )
 def test_machine_config_rejects_corrupt_row(tmp_path, config):
@@ -130,7 +131,7 @@ def test_reports_for_rejects_corrupt_row(tmp_path, payload):
 @pytest.mark.parametrize(
     "payload",
     ['{"report_id": "dc:0#1", "severity": NaN}', '{"belief": -Infinity}',
-     '{"report_id": ', "[1, 2]"],
+     '{"belief": 1e400}', '{"report_id": ', "[1, 2]"],
 )
 def test_uplink_rows_rejects_corrupt_row(tmp_path, payload):
     db = _db_with_rows(

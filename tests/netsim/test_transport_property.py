@@ -12,6 +12,8 @@ header produce a length mismatch, so the second property is exhaustive
 over flip positions, not probabilistic.
 """
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -44,6 +46,16 @@ _payloads = st.dictionaries(st.text(max_size=12), _json_values, max_size=8)
 @given(payload=_payloads)
 def test_roundtrip_arbitrary_json_payloads(payload):
     assert decode_message(encode_message(payload)) == payload
+
+
+@settings(max_examples=300, derandomize=True)
+@given(value=st.floats(allow_nan=False, allow_infinity=False))
+def test_finite_floats_decode_bit_identically(value):
+    # The finiteness check hands back float()'s own result, so every
+    # finite float, signed zeros and subnormals included, crosses a
+    # frame bit for bit.
+    decoded = decode_message(encode_message({"x": value}))["x"]
+    assert struct.pack("<d", decoded) == struct.pack("<d", value)
 
 
 @settings(max_examples=200, derandomize=True)
@@ -95,12 +107,12 @@ def test_decode_errors_are_counted_by_reason():
     assert snap["netsim.transport.frames_decoded"] == 1.0
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
 def test_non_finite_literals_are_rejected_and_counted(literal):
-    # Python's json writes and reads these, but JSON has no such
-    # numbers: an intact frame carrying one is refused under its own
-    # reason, not handed on as a float.
-    import struct
+    # Python's json writes and reads the first three, but JSON has no
+    # such numbers; the last two are valid JSON that overflow a float.
+    # An intact frame carrying one is refused under its own reason,
+    # not handed on as a float.
     import zlib
 
     reg = MetricsRegistry()

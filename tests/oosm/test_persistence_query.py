@@ -149,7 +149,9 @@ def test_non_finite_property_is_not_saved(tmp_path):
         save_model(model, tmp_path / "m.sqlite")
 
 
-@pytest.mark.parametrize("stored", ["NaN", "-Infinity", "[1.0, Infinity]", "{", ""])
+@pytest.mark.parametrize(
+    "stored", ["NaN", "-Infinity", "[1.0, Infinity]", "1e400", "[1.0, -1e400]", "{", ""]
+)
 def test_load_rejects_unreadable_property_rows(tmp_path, stored):
     # A property row edited on disk to hold a non-finite number or
     # broken JSON is refused with the table named, not loaded as NaN
