@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.common.errors import MprosError
+from repro.pdme.demo import demo_reports
 
 #: Wall-clock bucket edges for bench latency histograms (seconds).
 _LATENCY_EDGES = tuple(float(e) for e in np.geomspace(1e-5, 30.0, 40))
@@ -373,53 +374,6 @@ def _bench_fleet(registry, quick: bool) -> dict:
     return out
 
 
-def _ingest_workload(quick: bool) -> tuple[list, list[str]]:
-    """A deterministic fleet report stream shared by the PDME-fusion
-    and OOSM-ingest stages, so their stage times are additive and the
-    combined ``report_ingest_speedup`` compares equal volumes."""
-    from repro.protocol.prognostic import PrognosticPoint, PrognosticVector
-    from repro.protocol.report import FailurePredictionReport
-
-    machines, per_machine = (8, 25) if quick else (24, 80)
-    conditions = [
-        "mc:motor-rotor-bar",
-        "mc:motor-stator-winding",
-        "mc:oil-contamination",
-        "mc:motor-imbalance",
-    ]
-    sources = ["ks:dli", "ks:fuzzy", "ks:sbfr"]
-    reports = []
-    report_ids = []
-    i = 0
-    for m in range(machines):
-        for r in range(per_machine):
-            cond = conditions[(m + r) % len(conditions)]
-            t = 1000.0 + r * 60.0 + m
-            base = 0.15 + 0.02 * (r % 5)
-            vec = PrognosticVector(
-                [
-                    PrognosticPoint(3600.0 * (1 + r % 4), min(1.0, base)),
-                    PrognosticPoint(3600.0 * (6 + r % 4), min(1.0, base + 0.3)),
-                    PrognosticPoint(3600.0 * (24 + r % 4), min(1.0, base + 0.6)),
-                ]
-            )
-            reports.append(
-                FailurePredictionReport(
-                    knowledge_source_id=sources[r % len(sources)],
-                    sensed_object_id=f"obj:m{m}",
-                    machine_condition_id=cond,
-                    severity=0.5,
-                    belief=0.2 + 0.01 * (r % 10),
-                    timestamp=t,
-                    dc_id="dc:bench",
-                    prognostic=vec,
-                )
-            )
-            report_ids.append(f"dc:bench#{i}")
-            i += 1
-    return reports, report_ids
-
-
 def _bench_pdme_fusion(registry, quick: bool) -> dict:
     """Incremental bitmask D-S + on-demand prognosis vs the eager shape.
 
@@ -441,7 +395,7 @@ def _bench_pdme_fusion(registry, quick: bool) -> dict:
     from repro.fusion.prognostic import conservative_envelope
     from repro.obs.registry import MetricsRegistry
 
-    reports, _ = _ingest_workload(quick)
+    reports, _ = demo_reports(quick)
     reps = 2 if quick else 3
     registry_groups = default_chiller_groups()
     now = max(r.timestamp for r in reports)
@@ -530,7 +484,7 @@ def _bench_oosm_ingest(registry, quick: bool) -> dict:
     from repro.oosm.persistence import ReportStore
     from repro.protocol.canonical import canonical_json
 
-    reports, report_ids = _ingest_workload(quick)
+    reports, report_ids = demo_reports(quick)
     reps = 2 if quick else 3
     batch_size = 64
 
@@ -746,7 +700,7 @@ def _bench_shard_scaling(registry, quick: bool, shards: int) -> dict:
     from repro.pdme.shard import parallel_shard_ingest
     from repro.protocol.canonical import canonical_dumps
 
-    reports, report_ids = _ingest_workload(quick)
+    reports, report_ids = demo_reports(quick)
     reps = 1 if quick else 2
     counts = [1] + [n for n in (2, 4, 8) if 1 < n <= shards]
     if shards not in counts:
@@ -824,7 +778,7 @@ def _bench_gateway(registry, quick: bool) -> dict:
     from repro.oosm.model import ShipModel
     from repro.pdme.shard import ShardedPdme
 
-    reports, report_ids = _ingest_workload(quick)
+    reports, report_ids = demo_reports(quick)
     reps = 3 if quick else 5
     queries_per_iter = 50 if quick else 200
     readers = 2 if quick else 4

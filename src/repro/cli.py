@@ -438,13 +438,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import tempfile
     import time as _time
 
-    from repro.bench import _ingest_workload
     from repro.gateway.service import gateway_for_sharded
     from repro.gateway.server import GatewayHTTPServer
     from repro.oosm.model import ShipModel
+    from repro.pdme.demo import demo_reports
     from repro.pdme.shard import ShardedPdme
 
-    reports, report_ids = _ingest_workload(quick=args.quick)
+    reports, report_ids = demo_reports(quick=args.quick)
     with tempfile.TemporaryDirectory() as tmp:
         store_dir = Path(args.store_dir) if args.store_dir else Path(tmp)
         store_dir.mkdir(parents=True, exist_ok=True)

@@ -258,7 +258,10 @@ class DataConcentrator:
         per_ctx: list[list[FailurePredictionReport]] = [[] for _ in ctxs]
         with self.tracer.span("dc.dispatch", dc=str(self.dc_id)):
             for source in self.sources:
-                source_id = getattr(source, "knowledge_source_id", repr(source))
+                try:
+                    source_id = source.knowledge_source_id
+                except AttributeError:
+                    source_id = repr(source)
                 analyze_batch = getattr(source, "analyze_batch", None)
                 with self.tracer.span(f"suite.{source_id}"):
                     if analyze_batch is not None:

@@ -152,6 +152,18 @@ class FusedDiagnosis:
     def __repr__(self) -> str:
         return f"FusedDiagnosis{self._fields()!r}"
 
+    def snapshot_entry(self) -> dict:
+        """This state as one ``"diagnostic"`` entry of a fused snapshot
+        (:meth:`~repro.fusion.engine.KnowledgeFusionEngine.fused_snapshot`)."""
+        return {
+            "beliefs": dict(self.beliefs),
+            "plausibilities": dict(self.plausibilities),
+            "unknown": self.unknown,
+            "severity": self.severity,
+            "report_count": self.report_count,
+            "conflict": self.conflict,
+        }
+
     def ranked(self) -> list[tuple[ObjectId, float]]:
         """Conditions sorted by fused belief, strongest first."""
         return sorted(self.beliefs.items(), key=lambda kv: -kv[1])

@@ -28,10 +28,11 @@ from typing import Collection
 
 from repro.common.errors import MprosError
 from repro.common.ids import ObjectId
-from repro.fusion.diagnostic import DiagnosticFusion
+from repro.fusion.diagnostic import DiagnosticFusion, FusedDiagnosis
 from repro.fusion.groups import GroupRegistry
 from repro.fusion.prognostic import PrognosticFusion, conservative_envelope
 from repro.obs.registry import MetricsRegistry, default_registry
+from repro.protocol.prognostic import PrognosticVector
 from repro.protocol.report import FailurePredictionReport
 
 
@@ -175,43 +176,53 @@ class KnowledgeFusionEngine:
         merged snapshot independent of the shard count.
         """
         t = as_of if as_of is not None else self._max_seen_time
-        prognostic: dict[str, dict] = {}
-        for obj, cond in self.prognostic.keys():
-            if objects is not None and obj not in objects:
-                continue
-            s = self.prognostic.state(obj, cond, t)
-            prognostic[f"{obj}|{cond}"] = {
-                "report_count": s.report_count,
-                "curve": [[float(kt), float(kp)] for kt, kp in s.vector.to_pairs()],
-            }
         return {
             "as_of": t,
-            "diagnostic": self.fused_diagnostic(objects),
-            "prognostic": prognostic,
+            "diagnostic": {
+                key: state.snapshot_entry()
+                for key, state in self.fused_diagnoses(objects).items()
+            },
+            "prognostic": {
+                key: {
+                    "report_count": count,
+                    "curve": [[float(kt), float(kp)] for kt, kp in vector.to_pairs()],
+                }
+                for key, (count, vector) in self.fused_curves(t, objects).items()
+            },
         }
 
-    def fused_diagnostic(
+    def fused_diagnoses(
         self, objects: Collection[ObjectId] | None = None
-    ) -> dict[str, dict]:
-        """The ``"diagnostic"`` part of :meth:`fused_snapshot` alone.
+    ) -> dict[str, FusedDiagnosis]:
+        """The live state behind the snapshot's ``"diagnostic"`` part,
+        keyed ``"<object>|<group>"``.
 
         Diagnostic state does not depend on the evaluation time, and
-        reading it runs no prognostic fusion — the alarm list's read.
+        reading it runs no prognostic fusion.  An ingest replaces a
+        pair's :class:`FusedDiagnosis` and never changes it, so a
+        reader that kept one can tell whether the pair changed by
+        identity.
         """
-        diagnostic: dict[str, dict] = {}
-        for obj, gname in self.diagnostic.keys():
-            if objects is not None and obj not in objects:
-                continue
-            s = self.diagnostic.state(obj, gname)
-            diagnostic[f"{obj}|{gname}"] = {
-                "beliefs": dict(s.beliefs),
-                "plausibilities": dict(s.plausibilities),
-                "unknown": s.unknown,
-                "severity": s.severity,
-                "report_count": s.report_count,
-                "conflict": s.conflict,
-            }
-        return diagnostic
+        state = self.diagnostic.state
+        return {
+            f"{obj}|{gname}": state(obj, gname)
+            for obj, gname in self.diagnostic.keys()
+            if objects is None or obj in objects
+        }
+
+    def fused_curves(
+        self, as_of: float | None = None, objects: Collection[ObjectId] | None = None
+    ) -> dict[str, tuple[int, PrognosticVector]]:
+        """``(report_count, fused vector)`` per ``"<object>|<condition>"``
+        at ``as_of``: the snapshot's ``"prognostic"`` part before it is
+        turned into lists."""
+        t = as_of if as_of is not None else self._max_seen_time
+        fused = self.prognostic.fused
+        return {
+            f"{obj}|{cond}": fused(obj, cond, t)
+            for obj, cond in self.prognostic.keys()
+            if objects is None or obj in objects
+        }
 
     def time_to_failure(
         self, sensed_object_id: ObjectId, machine_condition_id: ObjectId,

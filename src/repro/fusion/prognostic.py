@@ -255,25 +255,35 @@ class PrognosticFusion:
             rebased.append(r.prognostic.shifted(max(0.0, now - r.timestamp)))
         return self._envelope(rebased) if rebased else PrognosticVector.empty()
 
+    def fused(
+        self, sensed_object_id: ObjectId, machine_condition_id: ObjectId, now: float
+    ) -> tuple[int, PrognosticVector]:
+        """``(report_count, fused vector)`` for a pair as of ``now``: the
+        numbers :meth:`state` reports, without building its record."""
+        key = (sensed_object_id, machine_condition_id)
+        reports = self._reports.get(key)
+        if not reports:
+            return 0, PrognosticVector.empty()
+        if len(reports) == 1 and self._envelope is conservative_envelope:
+            # The conservative envelope of one curve is that curve, and
+            # one shift costs less than keeping it.
+            report = reports[0]
+            return 1, report.prognostic.shifted(max(0.0, now - report.timestamp))
+        version = (len(reports), now)
+        cached = self._vector_cache.get(key)
+        if cached is not None and cached[0] == version:
+            return version[0], cached[1]
+        fused = self._fuse(reports, now)
+        self._vector_cache[key] = (version, fused)
+        return version[0], fused
+
     def state(
         self, sensed_object_id: ObjectId, machine_condition_id: ObjectId, now: float
     ) -> FusedPrognosis:
         """Fused prognosis for an (object, condition) pair as of ``now``."""
-        key = (sensed_object_id, machine_condition_id)
-        reports = self._reports.get(key)
-        if not reports:
-            return FusedPrognosis(
-                sensed_object_id, machine_condition_id, PrognosticVector.empty(), now
-            )
-        version = (len(reports), now)
-        cached = self._vector_cache.get(key)
-        if cached is not None and cached[0] == version:
-            fused = cached[1]
-        else:
-            fused = self._fuse(reports, now)
-            self._vector_cache[key] = (version, fused)
+        count, fused = self.fused(sensed_object_id, machine_condition_id, now)
         return FusedPrognosis(
-            sensed_object_id, machine_condition_id, fused, now, len(reports)
+            sensed_object_id, machine_condition_id, fused, now, count
         )
 
     def full_recompute(

@@ -14,11 +14,13 @@ front door:
   are O(1) dict hits, and invalidation is the key changing;
 * **reads in proportion to the change**: a health read asks the
   fused provider only for the object's part-of closure (on the
-  owning shards), the alarm list reads diagnostic state alone, and
-  the fleet document re-renders only the diagnostic entries a write
-  changed, stitching the rest from their kept text;
+  owning shards); the alarm list and the fleet document re-render
+  only the diagnostic entries a write replaced, and the fleet
+  document writes each curve straight from its fused pairs (a
+  single-report curve fills only its times into a kept text);
 * **keyset pagination** (:mod:`repro.gateway.pagination`): log pages
-  seek on the ``(intake_seq, row)`` index, never OFFSET;
+  seek on the ``(intake_seq, row)`` index, never OFFSET, and decode
+  each stored row once;
 * **push subscriptions** riding the OOSM event bus (§4.5: "without
   the need to poll");
 * **bulk read/write**: bulk reads page the replica, bulk writes
@@ -36,14 +38,15 @@ wall clock.
 
 from __future__ import annotations
 
-import json
 import threading
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.common.errors import GatewayError
 from repro.common.ids import ObjectId
 from repro.gateway.cache import VersionedCache
 from repro.gateway.pagination import (
+    MAX_PAGE_SIZE,
     Page,
     clamp_limit,
     decode_cursor,
@@ -62,10 +65,20 @@ from repro.gateway.resources import (
 from repro.obs.registry import Counter, MetricsRegistry, default_registry
 from repro.oosm.events import ReportBatchPosted, ReportPosted
 from repro.oosm.model import ShipModel
-from repro.oosm.persistence import PageRow, ReportStore
-from repro.protocol.canonical import Canonical, canonical_dumps
+from repro.oosm.persistence import PageRow, ReportStore, load_payload
+from repro.protocol.canonical import (
+    array_text,
+    canonical_dumps,
+    canonical_text,
+    float_text,
+    object_text,
+    pairs_text,
+)
 from repro.protocol.report import FailurePredictionReport
 from repro.protocol.wire import decode_report
+
+if TYPE_CHECKING:
+    from repro.fusion.diagnostic import FusedDiagnosis
 
 #: Sub-millisecond-resolution edges for request latencies (seconds).
 #: Cached hits land in the leading microsecond buckets, uncached
@@ -77,8 +90,49 @@ REQUEST_LATENCY_EDGES: tuple[float, ...] = (
 )
 
 
+#: Decoded log rows a gateway keeps, keyed by their payload text: two
+#: full pages' worth.
+PAGE_MEMO_ROWS = 2 * MAX_PAGE_SIZE
+#: Where the entries of the fleet document's two sections, and of the
+#: alarm list, start: two levels in.
+_ENTRY_NL = "\n    "
+
+
 def _no_latency() -> None:
     """The latency observer when no timer is attached."""
+
+
+def _decode_row(payload: str) -> FailurePredictionReport:
+    return decode_report(load_payload(payload))
+
+
+def _curve_entry_text(
+    report_count: int, pair_texts: Iterable[tuple[str, str]], nl: str
+) -> str:
+    """The text of one ``"prognostic"`` entry of the fused snapshot,
+    ``{"curve": [[t, p], ...], "report_count": n}``, on a line indented
+    by ``nl``, from the texts of its curve's pairs."""
+    inner = nl + "  "
+    return (
+        "{" + inner + '"curve": ' + pairs_text(pair_texts, inner)
+        + "," + inner + '"report_count": ' + int.__repr__(report_count)
+        + nl + "}"
+    )
+
+
+def _alarm(series_key: str, state: FusedDiagnosis) -> Alarm:
+    """The alarm a raised diagnostic state reads as."""
+    obj, group = series_key.split("|", 1)
+    beliefs = state.beliefs
+    top = max(sorted(beliefs), key=lambda c: beliefs[c])
+    return Alarm(
+        object_id=obj,
+        group=group,
+        condition_id=top,
+        severity=state.severity,
+        belief=beliefs[top],
+        status="ACTIVE",
+    )
 
 
 class FleetGateway:
@@ -91,8 +145,9 @@ class FleetGateway:
         single-process deployment, the retained report list).
     fused:
         Fused-state provider: anything with ``fused_snapshot(as_of,
-        objects=None)``, ``fused_diagnostic(objects=None)``,
-        ``intake_watermark`` and ``as_of`` (or ``max_seen_time``) — a
+        objects=None)``, ``fused_diagnoses(objects=None)``,
+        ``fused_curves(as_of, objects=None)``, ``intake_watermark``
+        and ``as_of`` (or ``max_seen_time``) — a
         :class:`~repro.fusion.engine.KnowledgeFusionEngine`, a
         :class:`~repro.pdme.shard.ShardedPdme`, or the in-process
         :class:`~repro.pdme.shard.ShardedFusionEngine`.  It must
@@ -143,11 +198,18 @@ class FleetGateway:
         self._m_bulk_written = self.metrics.counter("gateway.bulk_reports_written")
         self._subscriptions: dict[str, Subscription] = {}
         self._next_subscription = 0
-        #: The fleet document's rendered diagnostic entries by series
-        #: key: the entry each was rendered from and its text.
-        #: Replaced wholesale on each render, so it holds only the live
-        #: pairs.
-        self._diagnostic_texts: dict[str, tuple[dict, Canonical]] = {}
+        #: Rendered texts by series key, each with the state it was
+        #: rendered from: the fleet document's diagnostic entries and
+        #: the alarm list's entries.  Each render replaces its dict
+        #: wholesale, so they hold only the pairs it read.
+        self._diagnostic_texts: dict[str, tuple[FusedDiagnosis, str]] = {}
+        self._alarm_texts: dict[str, tuple[FusedDiagnosis, str]] = {}
+        #: The single-report prognostic pairs' entry texts with ``%s``
+        #: for each knot time, with the probabilities they hold, by
+        #: series key; replaced wholesale like the texts above.
+        self._curve_templates: dict[str, tuple[tuple[float, ...], str]] = {}
+        #: Report pages decode each stored row once (rows never change).
+        self._decode_row = lru_cache(maxsize=PAGE_MEMO_ROWS)(_decode_row)
         # Push fan-out rides the OOSM event model: one bus handler per
         # event class, delivering to matching subscriptions.
         model.bus.subscribe(ReportPosted, self._push_report)
@@ -191,31 +253,59 @@ class FleetGateway:
             snap = self.cache.put(key, self.fused.fused_snapshot(as_of=as_of))
         return snap
 
-    def _fleet_document(self, snap: dict) -> str:
-        """Canonical bytes of ``snap``, re-rendering only the diagnostic
-        entries a write changed.
+    def _fleet_document(self, as_of: float) -> str:
+        """Canonical bytes of the fused snapshot at ``as_of``, rendering
+        only what a write changed.
 
-        A diagnostic entry keeps its text while the entry it was
-        rendered from compares equal to the current one (its fields
-        have fixed types, so equal entries render equal text).  Every
-        write moves ``as_of`` and so every prognostic curve; that
-        section is rendered in place.  The kept texts are stitched in
-        by the same renderer, so the bytes equal
-        ``canonical_dumps(snap)``.
+        A diagnostic entry keeps its text while the provider returns
+        the same :class:`FusedDiagnosis` object for its pair: an ingest
+        replaces that object and never changes it.  Every write moves
+        ``as_of`` and with it every prognostic curve, so each curve is
+        written from its fused pairs; a single-report pair keeps its
+        text with the times left open, and a read fills them in while
+        its probabilities are the ones the text holds.  Each
+        part is rendered where it sits in the document, so the bytes
+        equal ``canonical_dumps(fused_snapshot(as_of))``.
         """
         old = self._diagnostic_texts
-        texts: dict[str, tuple[dict, Canonical]] = {}
-        for series_key, entry in snap["diagnostic"].items():
+        texts: dict[str, tuple[FusedDiagnosis, str]] = {}
+        for series_key, state in self.fused.fused_diagnoses().items():
             memo = old.get(series_key)
-            if memo is None or memo[0] != entry:
-                memo = (entry, Canonical(canonical_dumps(entry)[:-1]))
+            if memo is None or memo[0] is not state:
+                memo = (state, canonical_text(state.snapshot_entry(), _ENTRY_NL))
             texts[series_key] = memo
         self._diagnostic_texts = texts
-        return canonical_dumps({
-            "as_of": snap["as_of"],
-            "diagnostic": {k: memo[1] for k, memo in texts.items()},
-            "prognostic": snap["prognostic"],
-        })
+        kept = self._curve_templates
+        templates: dict[str, tuple[tuple[float, ...], str]] = {}
+        prognostic: dict[str, str] = {}
+        for series_key, (count, vector) in self.fused.fused_curves(as_of).items():
+            pairs = vector.to_pairs()
+            times, probabilities = zip(*pairs) if pairs else ((), ())
+            time_texts = map(float_text, map(float, times))
+            if count != 1:
+                prognostic[series_key] = _curve_entry_text(
+                    count,
+                    zip(time_texts, map(float_text, map(float, probabilities))),
+                    _ENTRY_NL,
+                )
+                continue
+            # Re-basing one report moves its times and keeps its
+            # probabilities, so its text differs between writes only in
+            # the times.  Texts of floats hold no "%".
+            memo = kept.get(series_key)
+            if memo is None or memo[0] != probabilities:
+                slots = [("%s", float_text(float(p))) for p in probabilities]
+                memo = (probabilities, _curve_entry_text(1, slots, _ENTRY_NL))
+            templates[series_key] = memo
+            prognostic[series_key] = memo[1] % tuple(time_texts)
+        self._curve_templates = templates
+        return object_text({
+            "as_of": canonical_text(as_of),
+            "diagnostic": object_text(
+                {k: memo[1] for k, memo in texts.items()}, "\n  "
+            ),
+            "prognostic": object_text(prognostic, "\n  "),
+        }) + "\n"
 
     # -- managed objects --------------------------------------------------
     def managed_object(self, object_id: ObjectId) -> ManagedObject:
@@ -324,12 +414,13 @@ class FleetGateway:
         try:
             size = clamp_limit(limit)
             rows = self._page_rows(decode_cursor(after), size)
+            decode = self._decode_row
             items = tuple(
                 Report(
                     intake_seq=row[0],
                     row_id=row[1],
                     report_id=row[2],
-                    report=decode_report(json.loads(row[3])),
+                    report=decode(row[3]),
                 )
                 for row in rows
             )
@@ -379,9 +470,7 @@ class FleetGateway:
             key = self._fused_key(as_of, "fleet_health_json")
             doc = self.cache.get(key)
             if doc is None:
-                doc = self.cache.put(
-                    key, self._fleet_document(self._snapshot(as_of))
-                )
+                doc = self.cache.put(key, self._fleet_document(as_of))
             return doc
         finally:
             done()
@@ -439,34 +528,32 @@ class FleetGateway:
         finally:
             done()
 
+    def _raised(self, threshold: float) -> list[tuple[str, FusedDiagnosis]]:
+        """Diagnostic states at or above ``threshold`` severity, by key."""
+        states = self.fused.fused_diagnoses()
+        raised = []
+        for series_key in sorted(states):
+            state = states[series_key]
+            if state.severity < threshold:
+                continue
+            raised.append((series_key, state))
+        return raised
+
     def _alarms(self, threshold: float) -> tuple[Alarm, ...]:
         key = self._fused_key(self._now(), "alarms", round(float(threshold), 12))
         cached = self.cache.get(key)
         if cached is not None:
             return cached
-        diagnostic = self.fused.fused_diagnostic()
-        raised = []
-        for series_key in sorted(diagnostic):
-            state = diagnostic[series_key]
-            if state["severity"] < threshold:
-                continue
-            obj, group = series_key.split("|", 1)
-            beliefs = state["beliefs"]
-            top = max(sorted(beliefs), key=lambda c: beliefs[c])
-            raised.append(
-                Alarm(
-                    object_id=obj,
-                    group=group,
-                    condition_id=top,
-                    severity=state["severity"],
-                    belief=beliefs[top],
-                    status="ACTIVE",
-                )
-            )
-        return self.cache.put(key, tuple(raised))
+        return self.cache.put(key, tuple(
+            _alarm(series_key, state) for series_key, state in self._raised(threshold)
+        ))
 
     def alarms_json(self, threshold: float = 0.5) -> str:
-        """Canonical bytes of :meth:`alarms`."""
+        """Canonical bytes of :meth:`alarms`.
+
+        An entry keeps its text while its pair's :class:`FusedDiagnosis`
+        is the same object, as the fleet document's entries do.
+        """
         done = self._count("alarms_json")
         try:
             key = self._fused_key(
@@ -474,9 +561,19 @@ class FleetGateway:
             )
             doc = self.cache.get(key)
             if doc is None:
-                doc = self.cache.put(key, canonical_dumps(
-                    {"alarms": [a.to_json() for a in self._alarms(threshold)]}
-                ))
+                old = self._alarm_texts
+                texts: dict[str, tuple[FusedDiagnosis, str]] = {}
+                for series_key, state in self._raised(threshold):
+                    memo = old.get(series_key)
+                    if memo is None or memo[0] is not state:
+                        alarm = _alarm(series_key, state).to_json()
+                        memo = (state, canonical_text(alarm, _ENTRY_NL))
+                    texts[series_key] = memo
+                self._alarm_texts = texts
+                items = [memo[1] for memo in texts.values()]
+                doc = self.cache.put(
+                    key, object_text({"alarms": array_text(items, "\n  ")}) + "\n"
+                )
             return doc
         finally:
             done()

@@ -69,6 +69,27 @@ def _finite_float(text: str) -> float:
     raise ValueError(f"non-finite number {text}")
 
 
+def load_payload(payload: str) -> dict:
+    """One stored report payload parsed to its wire dict.
+
+    Log rows are read back with the same finite-only hooks as
+    property rows: a row edited to hold ``NaN``, ``1e400``, text that
+    is not JSON, or JSON that is not an object raises
+    :class:`OosmError`.
+    """
+    try:
+        value = json.loads(
+            payload, parse_float=_finite_float, parse_constant=_reject_constant
+        )
+    except (TypeError, ValueError) as exc:
+        raise OosmError(f"stored report is not finite JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise OosmError(
+            f"stored report is a JSON {type(value).__name__}, not an object"
+        )
+    return value
+
+
 def save_model(model: ShipModel, path: str | Path) -> None:
     """Persist a ship model (entities, properties, relationships,
     retained reports) to a sqlite database file, replacing previous
@@ -163,7 +184,7 @@ def load_model(path: str | Path) -> ShipModel:
         ):
             model.relate(src, kind, dst)
         for (payload,) in conn.execute("SELECT payload FROM reports ORDER BY seq"):
-            model.post_report(decode_report(json.loads(payload)))
+            model.post_report(decode_report(load_payload(payload)))
         return model
     finally:
         conn.close()
@@ -338,7 +359,7 @@ class ReportStore:
     def all_reports(self) -> list[FailurePredictionReport]:
         """Every stored report in append order."""
         return [
-            decode_report(json.loads(payload))
+            decode_report(load_payload(payload))
             for (payload,) in self._conn.execute(
                 "SELECT payload FROM report_log ORDER BY seq"
             )
@@ -348,7 +369,7 @@ class ReportStore:
         """Every stored ``(intake_seq, report_id, report)`` in append
         order — the shard migration/merge view of the partition."""
         return [
-            (seq, rid, decode_report(json.loads(payload)))
+            (seq, rid, decode_report(load_payload(payload)))
             for seq, rid, payload in self._conn.execute(
                 "SELECT intake_seq, report_id, payload FROM report_log ORDER BY seq"
             )

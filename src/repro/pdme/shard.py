@@ -47,6 +47,7 @@ from typing import Callable, Collection, Sequence
 
 from repro.common.errors import MprosError
 from repro.common.ids import ObjectId
+from repro.fusion.diagnostic import FusedDiagnosis
 from repro.fusion.engine import KnowledgeFusionEngine
 from repro.fusion.groups import (
     GroupRegistry,
@@ -55,6 +56,7 @@ from repro.fusion.groups import (
 )
 from repro.oosm.persistence import ReportStore
 from repro.protocol.canonical import canonical_dumps
+from repro.protocol.prognostic import PrognosticVector
 from repro.protocol.report import FailurePredictionReport
 
 #: Ring points per shard.  More vnodes = smoother key balance and a
@@ -218,13 +220,24 @@ class ShardedFusionEngine:
             t,
         )
 
-    def fused_diagnostic(
+    def fused_diagnoses(
         self, objects: Collection[ObjectId] | None = None
-    ) -> dict[str, dict]:
-        """Merged diagnostic state; no prognostic fusion runs."""
-        merged: dict[str, dict] = {}
+    ) -> dict[str, FusedDiagnosis]:
+        """Merged live diagnostic state; no prognostic fusion runs."""
+        merged: dict[str, FusedDiagnosis] = {}
         for engine in self._engines_for(objects):
-            merged.update(engine.fused_diagnostic(objects))
+            merged.update(engine.fused_diagnoses(objects))
+        return merged
+
+    def fused_curves(
+        self, as_of: float | None = None, objects: Collection[ObjectId] | None = None
+    ) -> dict[str, tuple[int, PrognosticVector]]:
+        """Merged ``(report_count, fused vector)`` per pair at one shared
+        evaluation time."""
+        t = as_of if as_of is not None else self.max_seen_time
+        merged: dict[str, tuple[int, PrognosticVector]] = {}
+        for engine in self._engines_for(objects):
+            merged.update(engine.fused_curves(t, objects))
         return merged
 
 
@@ -318,12 +331,19 @@ class ShardWorker:
         self._require_alive()
         return self.engine.fused_snapshot(as_of=as_of, objects=objects)
 
-    def fused_diagnostic(
+    def fused_diagnoses(
         self, objects: Collection[ObjectId] | None = None
-    ) -> dict[str, dict]:
-        """This partition's diagnostic state."""
+    ) -> dict[str, FusedDiagnosis]:
+        """This partition's live diagnostic state."""
         self._require_alive()
-        return self.engine.fused_diagnostic(objects)
+        return self.engine.fused_diagnoses(objects)
+
+    def fused_curves(
+        self, as_of: float, objects: Collection[ObjectId] | None = None
+    ) -> dict[str, tuple[int, PrognosticVector]]:
+        """This partition's fused curves at the global ``as_of``."""
+        self._require_alive()
+        return self.engine.fused_curves(as_of, objects)
 
     @property
     def report_count(self) -> int:
@@ -506,13 +526,25 @@ class ShardedPdme:
             [w.fused_snapshot(t, objects) for w in self._workers_for(objects)], t
         )
 
-    def fused_diagnostic(
+    def fused_diagnoses(
         self, objects: Collection[ObjectId] | None = None
-    ) -> dict[str, dict]:
-        """Merged diagnostic state; no prognostic fusion runs."""
-        merged: dict[str, dict] = {}
+    ) -> dict[str, FusedDiagnosis]:
+        """Merged live diagnostic state; no prognostic fusion runs.
+        With ``objects``, read from their owning partitions only."""
+        merged: dict[str, FusedDiagnosis] = {}
         for worker in self._workers_for(objects):
-            merged.update(worker.fused_diagnostic(objects))
+            merged.update(worker.fused_diagnoses(objects))
+        return merged
+
+    def fused_curves(
+        self, as_of: float | None = None, objects: Collection[ObjectId] | None = None
+    ) -> dict[str, tuple[int, PrognosticVector]]:
+        """Merged ``(report_count, fused vector)`` per pair at the global
+        ``as_of``; with ``objects``, from their owning partitions only."""
+        t = as_of if as_of is not None else self._as_of
+        merged: dict[str, tuple[int, PrognosticVector]] = {}
+        for worker in self._workers_for(objects):
+            merged.update(worker.fused_curves(t, objects))
         return merged
 
     def canonical_fused_json(self, as_of: float | None = None) -> str:

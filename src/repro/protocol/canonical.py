@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 from repro.protocol.report import FailurePredictionReport
 
@@ -48,25 +48,11 @@ def canonical_json(reports: Iterable[FailurePredictionReport]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
 
 
-class Canonical(str):
-    """Text already rendered by :func:`canonical_dumps`, minus its
-    trailing newline.
-
-    The renderer emits a ``Canonical`` value verbatim, indented to
-    where it sits, instead of quoting it as a string.  A document
-    whose parts rarely change can keep each part's text and render
-    only the parts that did: the output is byte-identical to rendering
-    the parts' trees in place.
-    """
-
-    __slots__ = ()
-
-
 _INF = float("inf")
 _float_repr = float.__repr__
 
 
-def _float_text(value: float) -> str:
+def float_text(value: float) -> str:
     """``repr(round(value, 12) + 0.0)``, named the way the stdlib
     encoder names NaN and the infinities.
 
@@ -89,12 +75,19 @@ def _float_text(value: float) -> str:
       8192, where a power of two is an integer and rounds to itself.
       Zero is folded to ``0.0``.
 
-    Every other value takes the rounding path.  The tests hold both
+    * For 1e4 <= |value| < 1e16 the second shortcut always holds:
+      repr prints at most 17 significant digits, at least 5 of them
+      before the point, and switches to an exponent only from 1e16.
+
+    Every other value takes the rounding path.  The tests hold the
     shortcuts to it at the range edges and on ties.
     """
-    if 1e-4 <= value < 1e3 or -1e3 < value <= -1e-4:
+    size = -value if value < 0.0 else value
+    if 1e-4 <= size < 1e3:
         text = ("%.12f" % value).rstrip("0")
         return text + "0" if text[-1] == "." else text
+    if 1e4 <= size < 1e16:
+        return _float_repr(value)
     text = _float_repr(value)
     dot = text.find(".")
     if dot > 0 and len(text) - dot <= FLOAT_DECIMALS + 1 and "e" not in text:
@@ -151,7 +144,7 @@ def _render(value, nl: str, out: list[str]) -> None:
                 sep + (_quote(key) if type(key) is str else _key_text(key)) + ": "
             )
             if type(item) is float:
-                out.append(_float_text(item))
+                out.append(float_text(item))
             else:
                 _render(item, inner, out)
             sep = "," + inner
@@ -164,20 +157,18 @@ def _render(value, nl: str, out: list[str]) -> None:
         sep = "[" + inner
         for item in value:
             if type(item) is float:
-                out.append(sep + _float_text(item))
+                out.append(sep + float_text(item))
             else:
                 out.append(sep)
                 _render(item, inner, out)
             sep = "," + inner
         out.append(nl + "]")
     elif kind is float:
-        out.append(_float_text(value))
+        out.append(float_text(value))
     elif kind is str:
         out.append(_quote(value))
     elif kind is int:
         out.append(int.__repr__(value))
-    elif kind is Canonical:
-        out.append(value.replace("\n", nl))
     # Subclasses, None and bools: the stdlib encoder's order of checks.
     elif isinstance(value, str):
         out.append(_quote(value))
@@ -190,7 +181,7 @@ def _render(value, nl: str, out: list[str]) -> None:
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, float):
-        out.append(_float_text(value))
+        out.append(float_text(value))
     elif isinstance(value, (list, tuple)):
         _render(list(value), nl, out)
     elif isinstance(value, dict):
@@ -215,9 +206,61 @@ def canonical_dumps(doc) -> str:
     ``json.dumps(tree, indent=2, sort_keys=True, ensure_ascii=True)``
     of the tree with every float rounded and ``-0.0`` folded to
     ``0.0``, plus a trailing newline; the tests hold it to that form.
-    :class:`Canonical` parts are emitted as they are.
     """
     out: list[str] = []
     _render(doc, "\n", out)
     out.append("\n")
     return "".join(out)
+
+
+# -- stitching ---------------------------------------------------------
+#
+# A document whose parts rarely change can keep each part's text and
+# render only the parts that did.  Each part is rendered where it sits
+# (``nl`` is the newline plus indentation of the line it starts on),
+# so stitching only joins strings: the bytes equal rendering the whole
+# tree in one go.
+
+def canonical_text(value, nl: str = "\n") -> str:
+    """``value``'s text as :func:`canonical_dumps` renders it on a line
+    whose newline plus indentation is ``nl``, without the trailing
+    newline."""
+    out: list[str] = []
+    _render(value, nl, out)
+    return "".join(out)
+
+
+def object_text(members: Mapping[str, str], nl: str = "\n") -> str:
+    """The text of a JSON object on a line indented by ``nl``, from its
+    members' value texts, each rendered at ``nl + "  "``.  Keys are
+    strings, sorted here."""
+    if not members:
+        return "{}"
+    inner = nl + "  "
+    texts = [_quote(key) + ": " + members[key] for key in sorted(members)]
+    return "{" + inner + ("," + inner).join(texts) + nl + "}"
+
+
+def array_text(items: Sequence[str], nl: str = "\n") -> str:
+    """The text of a JSON array on a line indented by ``nl``, from its
+    items' texts, each rendered at ``nl + "  "``."""
+    if not items:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
+def pairs_text(pairs: Iterable[tuple[str, str]], nl: str = "\n") -> str:
+    """The text of a JSON array of two-element arrays on a line
+    indented by ``nl``, from each element's text (see
+    :func:`float_text`)."""
+    inner = nl + "  "
+    leaf = inner + "  "
+    items = [a + "," + leaf + b for a, b in pairs]
+    if not items:
+        return "[]"
+    return (
+        "[" + inner + "[" + leaf
+        + (inner + "]," + inner + "[" + leaf).join(items)
+        + inner + "]" + nl + "]"
+    )

@@ -62,7 +62,8 @@ def decode_report(payload: Mapping[str, Any]) -> FailurePredictionReport:
         severity = float(payload["severity"])
         belief = float(payload["belief"])
         timestamp = float(payload["timestamp"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an integer literal too large for a float.
         raise ProtocolError(f"malformed numeric field: {exc}") from exc
     return FailurePredictionReport(
         knowledge_source_id=str(payload["knowledge_source_id"]),

@@ -122,3 +122,31 @@ def test_broken_source_is_isolated():
     assert any(r.machine_condition_id == "mc:motor-imbalance" for r in sink)
     assert dc.source_errors
     assert dc.source_errors[0][0] == "ks:broken"
+
+
+def test_dispatch_names_a_source_without_repr_unless_it_has_no_id():
+    """A suite's id names it in errors and spans; its repr is built only
+    for a suite that has no id."""
+    reprs: list[str] = []
+
+    class Counted:
+        def __repr__(self):
+            reprs.append(type(self).__name__)
+            return f"<{type(self).__name__}>"
+
+        def analyze(self, ctx):
+            raise RuntimeError("third-party bug")
+
+    class Named(Counted):
+        knowledge_source_id = "ks:named"
+
+    _, dc, _ = make_dc()
+    attach_chiller(dc)
+    dc.sources.insert(0, Named())
+    dc.run_vibration_tests(now=600.0)
+    assert reprs == []
+    assert dc.source_errors[0][0] == "ks:named"
+    dc.sources[0] = Counted()
+    dc.run_vibration_tests(now=1200.0)
+    assert reprs == ["Counted"]
+    assert dc.source_errors[-1][0] == "<Counted>"

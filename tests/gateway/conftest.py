@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import _ingest_workload
 from repro.gateway import gateway_for_sharded
 from repro.obs.registry import MetricsRegistry
 from repro.oosm.model import ShipModel
+from repro.pdme.demo import demo_reports
 from repro.pdme.shard import ShardedPdme
 
 
 @pytest.fixture(scope="module")
 def workload():
-    return _ingest_workload(quick=True)
+    return demo_reports(quick=True)
 
 
 @pytest.fixture

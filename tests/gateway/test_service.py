@@ -247,3 +247,39 @@ def _build_executive(reports):
     executive = PdmeExecutive(model, default_chiller_groups())
     executive.submit_batch(list(reports))
     return executive
+
+
+def test_kept_curve_text_follows_a_reset_pair(workload):
+    """A pair reset after maintenance and fed one new report with other
+    probabilities renders the new ones, not the text kept for the old
+    report."""
+    from repro.fusion.engine import KnowledgeFusionEngine
+    from repro.fusion.groups import default_chiller_groups
+    from repro.oosm.model import ShipModel
+    from repro.protocol.canonical import canonical_dumps
+    from repro.protocol.prognostic import PrognosticVector
+
+    reports, _ = workload
+    engine = KnowledgeFusionEngine(default_chiller_groups())
+    model = ShipModel()
+    gw = FleetGateway(model, engine, metrics=MetricsRegistry())
+
+    def single(t, probabilities):
+        return reports[0].__class__(
+            knowledge_source_id="ks:gw",
+            sensed_object_id="obj:m0",
+            machine_condition_id="mc:oil-contamination",
+            severity=0.4,
+            belief=0.0,
+            timestamp=t,
+            prognostic=PrognosticVector.from_pairs(
+                list(zip((3600.0, 7200.0, 86400.0), probabilities))
+            ),
+        )
+
+    engine.ingest(single(100.0, (0.1, 0.2, 0.3)))
+    assert gw.fleet_health_json() == canonical_dumps(engine.fused_snapshot())
+    engine.prognostic.reset("obj:m0", "mc:oil-contamination")
+    engine.ingest(single(160.0, (0.4, 0.5, 0.6)))
+    assert gw.fleet_health_json() == canonical_dumps(engine.fused_snapshot())
+    assert '"curve"' in gw.fleet_health_json() and "0.5" in gw.fleet_health_json()

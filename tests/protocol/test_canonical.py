@@ -16,7 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.protocol.canonical import FLOAT_DECIMALS, Canonical, canonical_dumps
+from repro.protocol.canonical import (
+    FLOAT_DECIMALS,
+    array_text,
+    canonical_dumps,
+    canonical_text,
+    float_text,
+    object_text,
+    pairs_text,
+)
 
 
 def _round_tree(value):
@@ -110,17 +118,39 @@ def test_unserializable_values_raise_type_error():
 @settings(max_examples=100, deadline=None)
 @given(st.dictionaries(_text, _trees, max_size=6), _floats)
 def test_canonical_parts_stitch_to_the_same_bytes(parts, stamp):
-    """Pre-rendered parts, re-indented where they sit, equal rendering
-    the whole tree in one go."""
-    whole = {"as_of": stamp, "section": parts}
-    stitched = {
-        "as_of": stamp,
-        "section": {
-            key: Canonical(canonical_dumps(part)[:-1])
-            for key, part in parts.items()
-        },
-    }
-    assert canonical_dumps(stitched) == canonical_dumps(whole)
+    """Parts rendered where they sit, stitched by ``object_text`` and
+    ``array_text``, equal rendering the whole tree in one go."""
+    whole = {"as_of": stamp, "section": parts, "list": list(parts.values())}
+    entry_nl = "\n    "
+    stitched = object_text({
+        "as_of": canonical_text(stamp),
+        "section": object_text(
+            {key: canonical_text(part, entry_nl) for key, part in parts.items()},
+            "\n  ",
+        ),
+        "list": array_text(
+            [canonical_text(part, entry_nl) for part in parts.values()], "\n  "
+        ),
+    }) + "\n"
+    assert stitched == canonical_dumps(whole)
+    assert canonical_text(whole) + "\n" == canonical_dumps(whole)
+
+
+_pairs = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 10**6), _floats),
+        st.one_of(st.integers(0, 1), _floats),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs, st.sampled_from(["\n", "\n  ", "\n      "]))
+def test_pairs_text_equals_rendering_the_lists(pairs, nl):
+    texts = [(float_text(float(t)), float_text(float(p))) for t, p in pairs]
+    want = canonical_text([[float(t), float(p)] for t, p in pairs], nl)
+    assert pairs_text(texts, nl) == want
 
 
 # -- the float text shortcuts against the rounding path ------------------
@@ -147,10 +177,11 @@ def _sweep(start: float, steps: int) -> list[float]:
 
 
 _EDGES = (
-    # The fixed-point range's ends, the repr range's end, and 8192,
-    # above which a 12-decimal repr can differ from the nearest
+    # The fixed-point range's ends, the plain-repr range's ends, and
+    # 8192, above which a 12-decimal repr can differ from the nearest
     # 12-decimal number.
-    _sweep(1e-4, 64) + _sweep(1e3, 64) + _sweep(1e16, 64) + _sweep(8192.0, 64)
+    _sweep(1e-4, 64) + _sweep(1e3, 64) + _sweep(1e4, 64) + _sweep(1e16, 64)
+    + _sweep(8192.0, 64)
     # Dyadic values sit on exact ties of the 12th decimal or near it.
     + [2.0**-k for k in range(1, 60)] + [1.0 + 2.0**-k for k in range(30, 53)]
     + [k * 2.0**-13 for k in range(1, 40)] + [0.5e-12, 1.5e-12, 2.5e-12]
@@ -159,19 +190,25 @@ _EDGES = (
 
 
 def test_float_text_matches_rounding_at_edges():
-    from repro.protocol.canonical import _float_text
-
     for x in _EDGES:
-        assert _float_text(x) == _rounded_text(x), repr(x)
+        assert float_text(x) == _rounded_text(x), repr(x)
 
 
 @settings(max_examples=2000, deadline=None)
 @given(
     st.floats(allow_nan=True, allow_infinity=True)
     | st.floats(min_value=-2e3, max_value=2e3)
+    | st.floats(min_value=-2e16, max_value=2e16)
     | st.decimals(min_value=-1e7, max_value=1e7, places=12).map(float)
 )
 def test_float_text_matches_rounding(x):
-    from repro.protocol.canonical import _float_text
+    assert float_text(x) == _rounded_text(x)
 
-    assert _float_text(x) == _rounded_text(x)
+
+def test_float_text_matches_rounding_across_the_plain_repr_range():
+    # Full-precision doubles spread evenly in magnitude over 1e3-1e17.
+    rng = np.random.default_rng(7)
+    for x in 10.0 ** rng.uniform(3.0, 17.0, size=20_000):
+        x = float(x)
+        assert float_text(x) == _rounded_text(x), repr(x)
+        assert float_text(-x) == _rounded_text(-x), repr(-x)

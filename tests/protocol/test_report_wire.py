@@ -120,6 +120,17 @@ def test_decode_malformed_prognostic_raises():
         decode_report(payload)
 
 
+@pytest.mark.parametrize("field", ["severity", "belief", "timestamp", "prognostic"])
+def test_decode_refuses_an_integer_too_large_for_a_float(field):
+    # float(10**400) raises OverflowError, not ValueError.
+    payload = encode_report(make_report())
+    payload[field] = [[10**400, 0.5]] if field == "prognostic" else 10**400
+    with pytest.raises(ProtocolError, match="malformed numeric field"):
+        decode_report(payload)
+    with pytest.raises(ProtocolError):
+        from_json(json.dumps(payload))
+
+
 def test_from_json_rejects_non_object():
     with pytest.raises(ProtocolError):
         from_json("[1,2,3]")

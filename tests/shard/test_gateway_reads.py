@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import itertools
 import sys
+import tempfile
 import threading
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.bench import _ingest_workload
 from repro.common.errors import MprosError
 from repro.fusion.engine import KnowledgeFusionEngine
 from repro.fusion.groups import default_chiller_groups
@@ -25,8 +29,9 @@ from repro.gateway import gateway_for_sharded
 from repro.gateway.resources import Alarm
 from repro.obs.registry import MetricsRegistry
 from repro.oosm.model import ShipModel
+from repro.pdme.demo import demo_reports
 from repro.pdme.shard import ShardedPdme
-from repro.protocol.canonical import canonical_dumps
+from repro.protocol.canonical import canonical_dumps, report_to_dict
 
 pytestmark = pytest.mark.shard
 
@@ -37,7 +42,7 @@ THRESHOLDS = (0.1, 0.5, 0.6)
 def stream():
     """The quick ingest workload in timestamp order, so ``as_of``
     moves with nearly every write."""
-    reports, ids = _ingest_workload(quick=True)
+    reports, ids = demo_reports(quick=True)
     order = sorted(range(len(reports)), key=lambda i: (reports[i].timestamp, i))
     return [reports[i] for i in order], [ids[i] for i in order]
 
@@ -298,3 +303,79 @@ def test_fused_reads_with_a_shard_down(tmp_path, stream, n_shards):
             _assert_reads_match(gw, model, snap, objects[:2] + ["obj:system"])
     finally:
         pdme.close()
+
+
+@pytest.mark.parametrize("shards", [1, 2], ids=["shards1", "shards2"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_property_every_read_equals_its_uncached_oracle(stream, shards, data):
+    """Writes of 1-3 reports, drawn anywhere from the rest of the
+    stream so some are older than ``as_of``, interleave with fleet,
+    alarm, health and cursor-walked page reads.  Each response equals
+    its oracle from a fresh replay of the writes so far, byte for byte:
+    the kept texts and decoded rows never leak a stale part."""
+    reports, ids = stream
+    model = _model(reports)
+    objects = sorted({r.sensed_object_id for r in reports})
+    probes = objects[:4] + ["obj:system", "obj:idle"]
+    # Reports far ahead of the stream move as_of past every knot of
+    # some single-report curves, which then lose knots to the clamp.
+    jumps = [replace(reports[0], timestamp=t) for t in (9_000.0, 40_000.0, 120_000.0)]
+    reports = reports + jumps
+    ids = ids + [f"jump#{k}" for k in range(len(jumps))]
+    with tempfile.TemporaryDirectory() as tmp:
+        pdme = _router(Path(tmp), shards)
+        try:
+            gw = gateway_for_sharded(model, pdme, metrics=MetricsRegistry())
+            written = list(range(40))
+            pdme.submit_batch([reports[i] for i in written], [ids[i] for i in written])
+            rest = list(range(40, len(reports) - len(jumps)))
+            ahead = list(range(len(reports) - len(jumps), len(reports)))
+            walked, cursor = 0, None
+            for _ in range(data.draw(st.integers(4, 14), label="steps")):
+                op = data.draw(st.sampled_from(
+                    ("write", "write", "jump", "fleet", "alarms", "health", "page")
+                ), label="op")
+                if op == "jump" and ahead:
+                    batch = [ahead.pop(0)]
+                    assert gw.post_reports([reports[batch[0]]], [ids[batch[0]]]) == 1
+                    written += batch
+                    continue
+                if op in ("write", "jump") and rest:
+                    k = data.draw(st.integers(1, min(3, len(rest))), label="size")
+                    picks = sorted(data.draw(st.lists(
+                        st.integers(0, len(rest) - 1), min_size=k, max_size=k, unique=True
+                    ), label="picks"), reverse=True)
+                    batch = [rest.pop(j) for j in picks]
+                    assert gw.post_reports(
+                        [reports[i] for i in batch], [ids[i] for i in batch]
+                    ) == len(batch)
+                    written += batch
+                    continue
+                snap = _oracle_snapshot([reports[i] for i in written], pdme.as_of)
+                if op == "fleet":
+                    assert gw.fleet_health_json() == canonical_dumps(snap)
+                elif op == "alarms":
+                    threshold = data.draw(st.sampled_from(THRESHOLDS), label="threshold")
+                    assert gw.alarms_json(threshold) == canonical_dumps(
+                        alarms_from(snap, threshold)
+                    )
+                elif op == "health":
+                    obj = data.draw(st.sampled_from(probes), label="object")
+                    assert gw.health_json(obj) == canonical_dumps(
+                        health_from(snap, model, obj)
+                    )
+                else:
+                    limit = data.draw(st.integers(1, 25), label="limit")
+                    page = gw.reports(cursor, limit)
+                    want = written[walked:walked + limit]
+                    assert [item.report_id for item in page.items] == [ids[i] for i in want]
+                    assert canonical_dumps(
+                        [report_to_dict(item.report) for item in page.items]
+                    ) == canonical_dumps([report_to_dict(reports[i]) for i in want])
+                    walked += len(page.items)
+                    cursor = page.next_cursor
+                    if cursor is None:
+                        walked = 0
+        finally:
+            pdme.close()

@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import _ingest_workload
 from repro.fusion.engine import KnowledgeFusionEngine
 from repro.fusion.groups import default_chiller_groups
+from repro.pdme.demo import demo_reports
 from repro.pdme.shard import ShardedPdme, parallel_shard_ingest
 from repro.protocol.canonical import canonical_dumps
 
@@ -41,7 +41,7 @@ def _check_golden(name: str, payload: str) -> None:
 
 @pytest.fixture(scope="module")
 def workload():
-    return _ingest_workload(quick=False)
+    return demo_reports(quick=False)
 
 
 @pytest.fixture(scope="module")

@@ -65,9 +65,9 @@ def test_balance_across_shards():
 
 
 def test_partition_preserves_order_and_covers_all(simple_reports=None):
-    from repro.bench import _ingest_workload
+    from repro.pdme.demo import demo_reports
 
-    reports, _ = _ingest_workload(quick=True)
+    reports, _ = demo_reports(quick=True)
     layout = ShardLayout(3)
     per = layout.partition(reports)
     flat = sorted(i for idxs in per for i in idxs)

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import _ingest_workload
 from repro.common.errors import MprosError
 from repro.fusion.engine import KnowledgeFusionEngine
 from repro.fusion.groups import default_chiller_groups
+from repro.pdme.demo import demo_reports
 from repro.pdme.shard import ShardedPdme
 from repro.protocol.canonical import canonical_dumps
 
@@ -24,7 +24,7 @@ pytestmark = pytest.mark.shard
 
 @pytest.fixture(scope="module")
 def workload():
-    return _ingest_workload(quick=True)
+    return demo_reports(quick=True)
 
 
 @pytest.fixture(scope="module")

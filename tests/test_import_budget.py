@@ -102,3 +102,17 @@ def test_cli_loads_no_system():
     loaded = loaded_by("import repro.cli")
     assert "repro.cli" in loaded
     assert under(loaded, "repro.system") == []
+
+
+def test_serve_command_loads_no_bench_harness():
+    # Boot the server and answer no request: everything the command
+    # imports to serve is loaded by then.
+    loaded = loaded_by(
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['serve', '--quick', '--host', '127.0.0.1', '--port', '0',"
+        " '--max-requests', '0']) == 0"
+    )
+    assert "repro.gateway.server" in loaded
+    assert under(loaded, "repro.bench") == []
