@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""Gate a ``mpros bench`` result against the committed ratio baseline.
+"""Gate a ``benchmarks/gates.py`` result against the committed ratio baseline.
 
 Usage::
 
     python scripts/check_bench_regression.py BENCH.json benchmarks/baseline.json
 
-Only *ratios* are gated (batched vs legacy from the same run on the same
-machine), never absolute throughput — CI runners vary wildly in speed
+Only *ratios* are gated (a shipped path vs its oracle, from the same run
+on the same machine), never absolute throughput — CI runners vary wildly in speed
 but a within-run ratio is machine-independent.  A measured ratio may
 fall at most 20% below its baseline value before the gate fails.
 

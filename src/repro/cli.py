@@ -415,20 +415,11 @@ def _cmd_score(args: argparse.Namespace) -> int:
     return 0 if all(card.detection_rate > 0 for card in cards) else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import summarize, write_bench
-
-    doc = write_bench(args.output, quick=args.quick, shards=args.shards)
-    print(summarize(doc))
-    print(f"wrote {args.output}")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve the fleet query gateway over HTTP.
 
-    Boots a demo fleet (the deterministic bench workload fused through
-    a file-backed sharded PDME), then serves it: cached fleet-health
+    Boots a demo fleet (the deterministic demo report stream fused
+    through a file-backed sharded PDME), then serves it: cached fleet-health
     documents, keyset-paged report listings off read-only replica
     connections, alarms, per-object health, and bulk report POSTs that
     funnel through the shard router.  ``--store-dir`` persists the
@@ -572,20 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--markdown", default="",
                    help="write a markdown scorecard report here")
     p.set_defaults(func=_cmd_score)
-
-    p = sub.add_parser(
-        "bench",
-        help="benchmark the scan→report hot path and write a JSON report",
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="small geometry for CI smoke runs (< ~1 min)")
-    p.add_argument("--output", default=".benchmarks/bench.json",
-                   help="path of the JSON result document (its directory "
-                        "is created; the default one is git-ignored)")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="max worker count for the shard_scaling stage "
-                        "(default: 2 quick, 4 full)")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "serve",

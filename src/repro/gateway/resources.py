@@ -17,8 +17,8 @@ mapped onto MPROS concepts:
 Every resource renders through :meth:`to_json` into a plain JSON-ready
 dict with deterministically ordered collections, so
 :func:`repro.protocol.canonical.canonical_dumps` yields byte-stable
-responses — the property the gateway's golden tests and the bench's
-cached-vs-uncached oracle both pin.
+responses — the property the gateway's golden tests and the
+cached-vs-uncached ratio gate (``benchmarks/gates.py``) both pin.
 """
 
 from __future__ import annotations

@@ -25,7 +25,9 @@ Routes (all responses canonical JSON):
 
 Errors render as ``{"error": ...}`` with 400 (gateway misuse: bad
 cursor, bad limit, malformed body or ``Content-Length``), 404 (unknown
-path or object) or 413 (a body over :data:`MAX_BODY_BYTES`).
+path or object), 413 (a body over :data:`MAX_BODY_BYTES`) or 500 (any
+other :class:`MprosError` the system raises, such as a corrupt log row
+or a crashed shard); the connection and the server keep serving.
 """
 
 from __future__ import annotations
@@ -92,6 +94,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, self._route_get())
         except GatewayError as exc:
             self._error(400, str(exc))
+        except MprosError as exc:
+            self._error(500, str(exc))
         except _NotFound as exc:
             self._error(404, str(exc))
 
@@ -100,6 +104,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, self._route_post())
         except GatewayError as exc:
             self._error(400, str(exc))
+        except MprosError as exc:
+            self._error(500, str(exc))
         except _NotFound as exc:
             self._error(404, str(exc))
         except _TooLarge as exc:

@@ -8,10 +8,11 @@ front door:
 
 * **typed resources** (:mod:`repro.gateway.resources`) over OOSM
   entities, the report log, and fused diagnostic/prognostic state;
-* **versioned caching** (:mod:`repro.gateway.cache`): fused
-  documents are keyed by ``(as_of, intake_watermark)``, entity
-  documents by ``ShipModel.version``; repeat queries between writes
-  are O(1) dict hits, and invalidation is the key changing;
+* **versioned caching** (:mod:`repro.gateway.cache`): one slot per
+  query shape, holding the version it was built at — ``(as_of,
+  intake_watermark)`` for fused documents, ``ShipModel.version`` for
+  entity documents; repeat queries between writes are O(1) dict hits,
+  and a newer build replaces the slot's older one;
 * **reads in proportion to the change**: a health read asks the
   fused provider only for the object's part-of closure (on the
   owning shards); the alarm list and the fleet document re-render
@@ -31,8 +32,8 @@ Request counters and (optional) latency histograms land in
 :mod:`repro.obs` under ``gateway.*``: every request is counted and
 timed once under its own endpoint, cache hits included.  Latency needs
 a real clock, so the gateway takes an injected ``timer`` callable — the
-bench and the HTTP server pass ``time.perf_counter``; library use
-leaves it None and pays nothing.  The gateway itself never reads a
+HTTP server passes ``time.perf_counter``; library use leaves it None
+and pays nothing.  The gateway itself never reads a
 wall clock.
 """
 
@@ -239,18 +240,20 @@ class FleetGateway:
             return float(as_of)
         return float(self.fused.max_seen_time)
 
-    def _fused_key(self, as_of: float, *parts) -> tuple:
+    def _fused_version(self, as_of: float, *entity) -> tuple:
         # Read as_of before the watermark: a provider publishes both
-        # only after the write is fused, so a key holding the new
+        # only after the write is fused, so a version holding the new
         # watermark is always built over the new state.
-        return (*parts, as_of, self.fused.intake_watermark)
+        return (as_of, self.fused.intake_watermark, *entity)
 
     def _snapshot(self, as_of: float) -> dict:
         """The fused snapshot at ``as_of``, cached by the watermark."""
-        key = ("snapshot", as_of, self.fused.intake_watermark)
-        snap = self.cache.get(key)
+        version = self._fused_version(as_of)
+        snap = self.cache.get("snapshot", version)
         if snap is None:
-            snap = self.cache.put(key, self.fused.fused_snapshot(as_of=as_of))
+            snap = self.cache.put(
+                "snapshot", version, self.fused.fused_snapshot(as_of=as_of)
+            )
         return snap
 
     def _fleet_document(self, as_of: float) -> str:
@@ -332,12 +335,11 @@ class FleetGateway:
         done = self._count("managed_objects")
         try:
             size = clamp_limit(limit)
-            key = (
-                "managed_objects", type_name, kind_of, self.model.version,
-            )
-            ids = self.cache.get(key)
+            shape = ("managed_objects", type_name, kind_of)
+            version = self.model.version
+            ids = self.cache.get(shape, version)
             if ids is None:
-                ids = self.cache.put(key, sorted(
+                ids = self.cache.put(shape, version, sorted(
                     e.id for e in self.model.entities(
                         type_name=type_name, kind_of=kind_of
                     )
@@ -358,11 +360,13 @@ class FleetGateway:
         """Canonical bytes for one object, cached by model version."""
         done = self._count("managed_object_json")
         try:
-            key = ("managed_object_json", object_id, self.model.version)
-            doc = self.cache.get(key)
+            shape = ("managed_object_json", object_id)
+            version = self.model.version
+            doc = self.cache.get(shape, version)
             if doc is None:
                 doc = self.cache.put(
-                    key,
+                    shape,
+                    version,
                     canonical_dumps(self._managed_object(object_id).to_json()),
                 )
             return doc
@@ -459,18 +463,20 @@ class FleetGateway:
         """Canonical bytes of :meth:`fleet_health`.
 
         ``use_cache=False`` recomputes snapshot *and* serialization
-        from scratch — the oracle the bench compares cached responses
-        against, byte for byte.
+        from scratch — the oracle cached responses are compared against,
+        byte for byte (``benchmarks/gates.py`` and the gateway tests).
         """
         done = self._count("fleet_health_json")
         try:
             as_of = self._now()
             if not use_cache:
                 return canonical_dumps(self.fused.fused_snapshot(as_of=as_of))
-            key = self._fused_key(as_of, "fleet_health_json")
-            doc = self.cache.get(key)
+            version = self._fused_version(as_of)
+            doc = self.cache.get("fleet_health_json", version)
             if doc is None:
-                doc = self.cache.put(key, self._fleet_document(as_of))
+                doc = self.cache.put(
+                    "fleet_health_json", version, self._fleet_document(as_of)
+                )
             return doc
         finally:
             done()
@@ -489,13 +495,14 @@ class FleetGateway:
         if object_id not in self.model:
             raise GatewayError(f"no managed object {object_id!r}")
         as_of = self._now()
-        key = self._fused_key(as_of, "health", object_id, self.model.version)
-        doc = self.cache.get(key)
+        shape = ("health", object_id)
+        version = self._fused_version(as_of, self.model.version)
+        doc = self.cache.get(shape, version)
         if doc is not None:
             return doc
         scope = {object_id} | self.model.parts_closure_ids(object_id)
         snap = self.fused.fused_snapshot(as_of=as_of, objects=scope)
-        return self.cache.put(key, {
+        return self.cache.put(shape, version, {
             "object": object_id,
             "as_of": snap["as_of"],
             "diagnostic": snap["diagnostic"],
@@ -506,13 +513,12 @@ class FleetGateway:
         """Canonical bytes of :meth:`health`."""
         done = self._count("health_json")
         try:
-            key = self._fused_key(
-                self._now(), "health_json", object_id, self.model.version
-            )
-            doc = self.cache.get(key)
+            shape = ("health_json", object_id)
+            version = self._fused_version(self._now(), self.model.version)
+            doc = self.cache.get(shape, version)
             if doc is None:
                 doc = self.cache.put(
-                    key, canonical_dumps(self._health(object_id))
+                    shape, version, canonical_dumps(self._health(object_id))
                 )
             return doc
         finally:
@@ -540,11 +546,12 @@ class FleetGateway:
         return raised
 
     def _alarms(self, threshold: float) -> tuple[Alarm, ...]:
-        key = self._fused_key(self._now(), "alarms", round(float(threshold), 12))
-        cached = self.cache.get(key)
+        shape = ("alarms", round(float(threshold), 12))
+        version = self._fused_version(self._now())
+        cached = self.cache.get(shape, version)
         if cached is not None:
             return cached
-        return self.cache.put(key, tuple(
+        return self.cache.put(shape, version, tuple(
             _alarm(series_key, state) for series_key, state in self._raised(threshold)
         ))
 
@@ -556,10 +563,9 @@ class FleetGateway:
         """
         done = self._count("alarms_json")
         try:
-            key = self._fused_key(
-                self._now(), "alarms_json", round(float(threshold), 12)
-            )
-            doc = self.cache.get(key)
+            shape = ("alarms_json", round(float(threshold), 12))
+            version = self._fused_version(self._now())
+            doc = self.cache.get(shape, version)
             if doc is None:
                 old = self._alarm_texts
                 texts: dict[str, tuple[FusedDiagnosis, str]] = {}
@@ -572,7 +578,9 @@ class FleetGateway:
                 self._alarm_texts = texts
                 items = [memo[1] for memo in texts.values()]
                 doc = self.cache.put(
-                    key, object_text({"alarms": array_text(items, "\n  ")}) + "\n"
+                    shape,
+                    version,
+                    object_text({"alarms": array_text(items, "\n  ")}) + "\n",
                 )
             return doc
         finally:

@@ -2,8 +2,8 @@
 
 A deterministic stream of failure-prediction reports over a small
 fleet of chillers.  ``mpros serve`` boots its gateway on it, and the
-bench's PDME-fusion and OOSM-ingest stages share it so their stage
-times add up over equal volumes.
+``shard_scaling`` and ``gateway`` gates in ``benchmarks/gates.py``
+and the shard and gateway tests replay it.
 """
 
 from __future__ import annotations

@@ -32,10 +32,11 @@ Pieces:
 * :class:`ShardedFusionEngine` — the in-process facade used by the
   scoring harness: same routing, no stores, drop-in for a single
   :class:`KnowledgeFusionEngine` where only per-object queries are made.
-* :func:`parallel_shard_ingest` — the multi-process executor behind
-  ``mpros bench --shards N``: one OS process per shard, fused fragments
-  merged in the parent.  ``n_shards=1`` is the in-process ablation /
-  oracle, like ``full_recompute()`` for incremental fusion.
+* :func:`parallel_shard_ingest` — the multi-process executor timed by
+  the ``shard_scaling`` gate (``benchmarks/gates.py``): one OS process
+  per shard, fused fragments merged in the parent.  ``n_shards=1`` is
+  the in-process oracle, like ``full_recompute()`` for incremental
+  fusion.
 """
 
 from __future__ import annotations
@@ -651,8 +652,8 @@ def parallel_shard_ingest(
     """Fuse a report stream across N worker *processes*; return the
     merged fused snapshot.
 
-    ``n_shards=1`` runs in-process — the ablation/oracle the bench and
-    the invariance tests compare every multi-process result against.
+    ``n_shards=1`` runs in-process — the oracle the ``shard_scaling``
+    gate and the invariance tests compare every multi-process result against.
     The merged snapshot's canonical bytes are independent of
     ``n_shards`` by construction (consistent-hash routing preserves
     per-object substream order; evaluation happens at the one global

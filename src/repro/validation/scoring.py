@@ -109,36 +109,6 @@ def bootstrap_ci(
     return (float(lo), float(hi))
 
 
-def bootstrap_ci_loop(
-    values: list[float] | np.ndarray,
-    rng: np.random.Generator,
-    n_resamples: int = 2000,
-    alpha: float = 0.05,
-) -> tuple[float, float]:
-    """Reference per-resample-loop bootstrap (bench baseline).
-
-    Draws the same index stream as :func:`bootstrap_ci` (one flat
-    ``integers`` call, consumed row by row) so the two implementations
-    are bit-comparable.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        return (math.nan, math.nan)
-    if arr.size == 1:
-        v = float(arr[0])
-        return (v, v)
-    idx = rng.integers(0, arr.size, size=(n_resamples, arr.size))
-    means = np.empty(n_resamples, dtype=np.float64)
-    for k in range(n_resamples):
-        total = 0.0
-        row = idx[k]
-        for j in range(arr.size):
-            total += arr[row[j]]
-        means[k] = total / arr.size
-    lo, hi = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return (float(lo), float(hi))
-
-
 @dataclass(frozen=True)
 class RunScore:
     """One scenario run distilled into its scored facts.

@@ -13,13 +13,16 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[2]
 
 
-def load_gate():
-    spec = importlib.util.spec_from_file_location(
-        "check_bench_regression", REPO / "scripts" / "check_bench_regression.py"
-    )
+def load_module(relpath):
+    path = REPO / relpath
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def load_gate():
+    return load_module("scripts/check_bench_regression.py")
 
 
 def write(tmp_path, name, doc):
@@ -134,8 +137,8 @@ def test_evaluate_optional_param_defaults_to_required():
 
 
 def test_pre_pr_result_checks_against_committed_baseline(tmp_path, capsys):
-    # A result document from before the scoring stage (no
-    # score_bootstrap_speedup) must still pass the committed baseline.
+    # A result document without the optional ratios (a 1-core host,
+    # or one from before those stages) must still pass the baseline.
     gate = load_gate()
     baseline_path = REPO / "benchmarks" / "baseline.json"
     doc = json.loads(baseline_path.read_text(encoding="utf-8"))
@@ -205,10 +208,12 @@ def test_metadata_with_unknown_base_still_warns():
 
 
 def test_committed_baseline_matches_bench_stages(tmp_path, capsys):
-    # The real baseline file gates a result shaped like `mpros bench`
-    # output: every committed key verifies against itself cleanly.
+    # The real baseline file floors exactly the ratios the gate script
+    # writes, and every committed key verifies against itself cleanly.
     gate = load_gate()
     baseline_path = REPO / "benchmarks" / "baseline.json"
     doc = json.loads(baseline_path.read_text(encoding="utf-8"))
+    assert sorted(doc["ratios"]) == sorted(load_module("benchmarks/gates.py").RATIOS)
+    assert set(doc["optional"]) <= set(doc["ratios"])
     result = write(tmp_path, "result.json", {"ratios": doc["ratios"]})
     assert gate.check(result, str(baseline_path)) == 0

@@ -1,6 +1,7 @@
 """Property tests for the batched DSP layer.
 
-Three claims the bench harness depends on are made formal here:
+Three claims the DC's batched scan path depends on are made formal
+here:
 
 * the plan-backed FFT agrees with a literal O(n^2) DFT to 1e-9;
 * the transform conserves energy (Parseval), so no amplitude is

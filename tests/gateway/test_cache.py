@@ -1,5 +1,6 @@
-"""Versioned-cache semantics: hits, LRU eviction, key-driven
-invalidation through watermarks and model versions."""
+"""Versioned-cache semantics: hits, LRU eviction, one slot per query
+shape, version-driven invalidation through watermarks and model
+versions."""
 
 from __future__ import annotations
 
@@ -12,28 +13,39 @@ from repro.obs.registry import MetricsRegistry
 
 def test_get_put_and_counters():
     cache = VersionedCache(4, metrics=MetricsRegistry())
-    assert cache.get(("a", 1)) is None
-    cache.put(("a", 1), "payload")
-    assert cache.get(("a", 1)) == "payload"
+    assert cache.get("a", 1) is None
+    cache.put("a", 1, "payload")
+    assert cache.get("a", 1) == "payload"
     assert cache.hits == 1
     assert cache.misses == 1
+    assert cache.get("a", 2) is None  # another version never hits
+    assert cache.misses == 2
+
+
+def test_newer_build_replaces_its_slot():
+    cache = VersionedCache(4, metrics=MetricsRegistry())
+    cache.put(("health", "obj:m0"), (10.0, 1), "old")
+    cache.put(("health", "obj:m0"), (11.0, 2), "new")
+    assert len(cache) == 1
+    assert cache.get(("health", "obj:m0"), (10.0, 1)) is None
+    assert cache.get(("health", "obj:m0"), (11.0, 2)) == "new"
 
 
 def test_lru_evicts_oldest_first():
     cache = VersionedCache(2, metrics=MetricsRegistry())
-    cache.put("a", 1)
-    cache.put("b", 2)
-    assert cache.get("a") == 1  # refreshes recency: b is now LRU
-    cache.put("c", 3)
-    assert cache.get("b") is None
-    assert cache.get("a") == 1
-    assert cache.get("c") == 3
+    cache.put("a", 0, 1)
+    cache.put("b", 0, 2)
+    assert cache.get("a", 0) == 1  # refreshes recency: b is now LRU
+    cache.put("c", 0, 3)
+    assert cache.get("b", 0) is None
+    assert cache.get("a", 0) == 1
+    assert cache.get("c", 0) == 3
     assert len(cache) == 2
 
 
 def test_put_returns_value_and_clear_empties():
     cache = VersionedCache(8, metrics=MetricsRegistry())
-    assert cache.put("k", [1, 2]) == [1, 2]
+    assert cache.put("k", 0, [1, 2]) == [1, 2]
     assert cache.clear() == 1
     assert len(cache) == 0
 
@@ -79,3 +91,40 @@ def test_cached_bytes_identical_to_uncached_oracle(gateway):
     oracle = gateway.fleet_health_json(use_cache=False)
     assert gateway.fleet_health_json() == oracle
     assert gateway.fleet_health_json() == oracle
+
+
+def _read_every_shape(gateway, objects):
+    gateway.fleet_health()
+    gateway.fleet_health_json()
+    for oid in objects:
+        gateway.health_json(oid)
+        gateway.managed_object_json(oid)
+    gateway.alarms_json(0.3)
+    gateway.managed_objects()
+
+
+def test_slots_hold_only_current_versions(fleet, gateway):
+    """After each write and a read of each shape, no slot holds an
+    older watermark or model version; repeat reads still hit."""
+    model, pdme, reports, ids = fleet
+    objects = sorted({r.sensed_object_id for r in reports})[:3]
+    for step, report in enumerate(reports[:4]):
+        pdme.submit_batch([report], [f"{ids[0]}-again-{step}"])
+        model.set_property(objects[0], "location", f"bay {step}")
+        _read_every_shape(gateway, objects)
+        slots = gateway.cache._entries
+        # snapshot, fleet JSON, alarms, listing; health, health JSON
+        # and the entity document per object.
+        assert len(slots) == 4 + 3 * len(objects)
+        for shape, (version, _) in slots.items():
+            name = shape if isinstance(shape, str) else shape[0]
+            if name.startswith("managed_"):
+                assert version == model.version, shape
+                continue
+            assert version[1] == pdme.intake_watermark, shape
+            if name.startswith("health"):
+                assert version[2] == model.version, shape
+        hits, misses = gateway.cache.hits, gateway.cache.misses
+        _read_every_shape(gateway, objects)
+        assert gateway.cache.misses == misses
+        assert gateway.cache.hits > hits

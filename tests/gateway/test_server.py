@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sqlite3
 import threading
 import urllib.error
 import urllib.request
@@ -94,6 +95,23 @@ def test_error_statuses(http_fleet):
             _get(base, path)
         assert err.value.code == code, path
         assert "error" in json.loads(err.value.read())
+
+
+def test_system_error_is_a_500_and_the_server_keeps_serving(http_fleet, tmp_path):
+    # A log row that is valid JSON but no report: decoding it raises
+    # an MprosError that is not the client's fault.
+    with sqlite3.connect(tmp_path / "shard-0.sqlite") as conn:
+        conn.execute(
+            "UPDATE report_log SET payload = '[1, 2]' WHERE seq = "
+            "(SELECT MIN(seq) FROM report_log)"
+        )
+    _, _, base = http_fleet
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _get(base, "/reports")
+    assert err.value.code == 500
+    assert set(json.loads(err.value.read())) == {"error"}
+    status, page = _get(base, "/objects")
+    assert status == 200 and page["items"]
 
 
 def test_serve_handles_bounded_requests_then_returns(fleet, gateway):

@@ -1,11 +1,10 @@
-"""Multi-DC replay executor: determinism, merging, and the bench harness."""
+"""Multi-DC replay executor: determinism, merging; and the ratio gate script."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.common.errors import MprosError
@@ -77,52 +76,7 @@ def test_replay_fleet_to_model_posts_all_reports(small_fleet_specs):
             assert machine_id in model
 
 
-# -- bench harness ------------------------------------------------------------
-
-def test_histogram_percentiles_interpolate():
-    from repro.bench import _histogram_stats
-    from repro.obs.registry import MetricsRegistry
-
-    reg = MetricsRegistry()
-    hist = reg.histogram("bench.test.seconds", edges=(1.0, 2.0, 4.0))
-    for v in (0.5, 1.5, 1.5, 3.0):
-        hist.observe(v)
-    snap = hist.snapshot()
-    stats = _histogram_stats(tuple(snap["edges"]), snap["counts"])
-    assert 1.0 <= stats["p50"] <= 2.0
-    assert 2.0 <= stats["p99"] <= 4.0
-    empty = _histogram_stats((1.0, 2.0), [0, 0, 0])
-    assert np.isnan(empty["p50"]) and np.isnan(empty["p99"])
-
-
-def test_bench_dsp_stage_reports_equal_work():
-    from repro.bench import _bench_dsp
-    from repro.obs.registry import MetricsRegistry
-
-    reg = MetricsRegistry()
-    out = _bench_dsp(reg, quick=True)
-    assert out["scalar"]["signals_per_s"] > 0
-    assert out["batched"]["signals_per_s"] > 0
-    assert out["speedup"] > 0
-    # Every stage feeds its latencies into real obs histograms.
-    names = reg.snapshot()["histograms"].keys()
-    assert any("bench.dsp.scalar" in n for n in names)
-    assert any("bench.dsp.batched" in n for n in names)
-
-
-def test_bench_sbfr_stage_grid_matches_interpreter():
-    from repro.bench import _bench_sbfr
-    from repro.obs.registry import MetricsRegistry
-
-    reg = MetricsRegistry()
-    out = _bench_sbfr(reg, quick=True)
-    # The stage raises on any per-cycle status difference.
-    assert out["statuses_identical"]
-    assert out["speedup"] > 1
-    names = reg.snapshot()["histograms"].keys()
-    assert any("bench.sbfr.grid" in n for n in names)
-    assert any("bench.sbfr.interpreter" in n for n in names)
-
+# -- regression gate script ------------------------------------------------
 
 def test_regression_gate_passes_and_fails(tmp_path):
     script = REPO_ROOT / "scripts" / "check_bench_regression.py"

@@ -206,21 +206,3 @@ def test_verify_covers_turbine_deployment(capsys):
     out = capsys.readouterr().out
     assert "deployment 'dc-turbine'" in out
     assert "FAIL" not in out
-
-
-def test_bench_writes_under_ignored_benchmarks_dir(capsys, tmp_path, monkeypatch):
-    # The default result path is inside the git-ignored .benchmarks/
-    # directory, which the command creates: a bench run leaves no
-    # tracked file changed.
-    import json
-
-    import repro.bench
-
-    monkeypatch.setattr(repro.bench, "run_bench", lambda quick, shards: {"quick": quick})
-    monkeypatch.setattr(repro.bench, "summarize", lambda doc: "summary")
-    monkeypatch.chdir(tmp_path)
-    args = build_parser().parse_args(["bench", "--quick"])
-    assert args.output == ".benchmarks/bench.json"
-    assert main(["bench", "--quick"]) == 0
-    assert json.loads((tmp_path / ".benchmarks" / "bench.json").read_text()) == {"quick": True}
-    assert "wrote .benchmarks/bench.json" in capsys.readouterr().out
