@@ -13,9 +13,11 @@ believability where available.
 The running state lives in the bitmask representation
 (:class:`~repro.fusion.dempster_shafer.BitMass`) and is updated
 *incrementally* — one :func:`combine_incremental` per report, never a
-re-fold over report history.  The discounted evidence of every report
-is retained so :meth:`DiagnosticFusion.full_recompute` can replay the
-whole history through the frozenset oracle and certify the fast path.
+re-fold over report history, and no report history is kept.  The
+property tests certify the fast path by replaying their own report
+stream through the frozenset :class:`MassFunction` reference
+(:func:`combine`, :func:`conflict` in
+:mod:`repro.fusion.dempster_shafer`).
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ from repro.fusion.dempster_shafer import (
     BitMass,
     MassFunction,
     bit_frame,
-    combine,
     combine_incremental,
-    conflict,
 )
 from repro.fusion.groups import UNKNOWN, GroupRegistry, LogicalGroup
 from repro.protocol.report import FailurePredictionReport
@@ -219,8 +219,6 @@ class DiagnosticFusion:
                 )
         #: The pinned fused state per key; each ingest replaces it.
         self._state: dict[tuple[ObjectId, str], FusedDiagnosis] = {}
-        #: Retained discounted evidence per key — the oracle's input.
-        self._history: dict[tuple[ObjectId, str], list[tuple[ObjectId, float]]] = {}
         #: Monotone revision counter gating the suspects cache.
         self._revision = 0
         self._suspects_rev = -1
@@ -250,7 +248,6 @@ class DiagnosticFusion:
                 mass.conflict_k,
             )
         self._state[key] = fused
-        self._history.setdefault(key, []).append((report.machine_condition_id, belief))
         self._revision += 1
         return fused
 
@@ -303,40 +300,8 @@ class DiagnosticFusion:
             self._suspects_rev = self._revision
         return [t for t in self._suspects_all if t[2] >= threshold]
 
-    # -- oracle ------------------------------------------------------------
-    def full_recompute(
-        self, sensed_object_id: ObjectId, group_name: str
-    ) -> FusedDiagnosis:
-        """Replay the retained report history through the frozenset
-        :class:`MassFunction` oracle and return the resulting state.
-
-        This is the reference against which the incremental bitmask
-        path is certified: for any (object, group) pair the snapshot
-        returned here must match :meth:`state` to within float
-        round-off (the property tests pin it to 1e-9).
-        """
-        group = self._resolve_group(group_name)
-        key = (sensed_object_id, group.name)
-        history = self._history.get(key)
-        if not history:
-            return self.state(sensed_object_id, group_name)
-        acc: MassFunction | None = None
-        last_k = 0.0
-        for condition, belief in history:
-            evidence = MassFunction(group.frame, {condition: belief})
-            if acc is None:
-                acc = evidence
-            else:
-                last_k = conflict(acc, evidence)
-                acc = combine(acc, evidence)
-        live = self._state[key]
-        return FusedDiagnosis(
-            sensed_object_id, group, acc, live.severity, live.report_count, last_k
-        )
-
     def reset(self, sensed_object_id: ObjectId, group_name: str) -> None:
         """Forget fused state for an (object, group) pair (maintenance
         performed; evidence no longer applies)."""
         self._state.pop((sensed_object_id, group_name), None)
-        self._history.pop((sensed_object_id, group_name), None)
         self._revision += 1

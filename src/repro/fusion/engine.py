@@ -30,7 +30,7 @@ from repro.common.errors import MprosError
 from repro.common.ids import ObjectId
 from repro.fusion.diagnostic import DiagnosticFusion, FusedDiagnosis
 from repro.fusion.groups import GroupRegistry
-from repro.fusion.prognostic import PrognosticFusion, conservative_envelope
+from repro.fusion.prognostic import PrognosticFusion
 from repro.obs.registry import MetricsRegistry, default_registry
 from repro.protocol.prognostic import PrognosticVector
 from repro.protocol.report import FailurePredictionReport
@@ -56,19 +56,18 @@ class KnowledgeFusionEngine:
         Logical failure groups for diagnostic fusion.
     believability:
         Optional per-knowledge-source discount factors.
-    envelope:
-        Prognostic combination rule (paper default: conservative).
+
+    Prognostic curves combine by the paper's conservative envelope.
     """
 
     def __init__(
         self,
         registry: GroupRegistry,
         believability: dict[ObjectId, float] | None = None,
-        envelope=conservative_envelope,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.diagnostic = DiagnosticFusion(registry, believability)
-        self.prognostic = PrognosticFusion(envelope)
+        self.prognostic = PrognosticFusion()
         self.stats = EngineStats()
         self._max_seen_time = 0.0
         reg = metrics if metrics is not None else default_registry()

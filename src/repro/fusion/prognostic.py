@@ -20,6 +20,12 @@ Per-input reading, chosen to reproduce the paper's two §5.4 examples:
   one (example 2) dominates and, riding the prevailing slope, "would
   indicate an even earlier demise" — fused certainty arrives earlier
   than under the original curve alone.
+
+:class:`PrognosticFusion` combines by :func:`conservative_envelope`
+alone; :func:`noisy_or_envelope` is a plain function kept for the
+ablation bench and its tests.  No fusion state keeps an oracle: the
+equivalence tests re-base their own report stream and apply the
+envelope to it.
 """
 
 from __future__ import annotations
@@ -218,20 +224,13 @@ class PrognosticFusion:
     The conservative envelope is *not* associative (a single-point
     report level-shifts the prevailing multi-point curve), so exact
     incrementality is impossible without retaining reports.  Instead
-    :meth:`ingest` only appends to the history and :meth:`state`
+    :meth:`ingest` only appends to the history and :meth:`fused`
     combines it when asked, memoized per pair until the next ingest
-    changes the history or the query time moves.  :meth:`full_recompute`
-    bypasses the memo — the oracle for the equivalence tests.
-
-    Parameters
-    ----------
-    envelope:
-        The combination rule; defaults to the paper's
-        :func:`conservative_envelope`.
+    changes the history or the query time moves.  The equivalence
+    tests hold it to the envelope of their own stream, re-based.
     """
 
-    def __init__(self, envelope=conservative_envelope) -> None:
-        self._envelope = envelope
+    def __init__(self) -> None:
         self._reports: dict[tuple[ObjectId, ObjectId], list[FailurePredictionReport]] = {}
         #: Per-pair memo: (report_count, now) -> fused vector.  Only
         #: the latest entry is kept; fleets re-query the same (count,
@@ -247,14 +246,6 @@ class PrognosticFusion:
         key = (report.sensed_object_id, report.machine_condition_id)
         self._reports.setdefault(key, []).append(report)
 
-    def _fuse(self, reports: list[FailurePredictionReport], now: float) -> PrognosticVector:
-        rebased = []
-        for r in reports:
-            # A future-stamped report (time-disordered input, §5.1) is
-            # treated as effective now rather than rejected.
-            rebased.append(r.prognostic.shifted(max(0.0, now - r.timestamp)))
-        return self._envelope(rebased) if rebased else PrognosticVector.empty()
-
     def fused(
         self, sensed_object_id: ObjectId, machine_condition_id: ObjectId, now: float
     ) -> tuple[int, PrognosticVector]:
@@ -264,7 +255,9 @@ class PrognosticFusion:
         reports = self._reports.get(key)
         if not reports:
             return 0, PrognosticVector.empty()
-        if len(reports) == 1 and self._envelope is conservative_envelope:
+        # A future-stamped report (time-disordered input, §5.1) is
+        # treated as effective now rather than rejected.
+        if len(reports) == 1:
             # The conservative envelope of one curve is that curve, and
             # one shift costs less than keeping it.
             report = reports[0]
@@ -273,7 +266,9 @@ class PrognosticFusion:
         cached = self._vector_cache.get(key)
         if cached is not None and cached[0] == version:
             return version[0], cached[1]
-        fused = self._fuse(reports, now)
+        fused = conservative_envelope(
+            r.prognostic.shifted(max(0.0, now - r.timestamp)) for r in reports
+        )
         self._vector_cache[key] = (version, fused)
         return version[0], fused
 
@@ -284,20 +279,6 @@ class PrognosticFusion:
         count, fused = self.fused(sensed_object_id, machine_condition_id, now)
         return FusedPrognosis(
             sensed_object_id, machine_condition_id, fused, now, count
-        )
-
-    def full_recompute(
-        self, sensed_object_id: ObjectId, machine_condition_id: ObjectId, now: float
-    ) -> FusedPrognosis:
-        """Recompute the fused state from the retained history with no
-        memo — the oracle for :meth:`state`."""
-        reports = self._reports.get((sensed_object_id, machine_condition_id), [])
-        return FusedPrognosis(
-            sensed_object_id,
-            machine_condition_id,
-            self._fuse(reports, now),
-            now,
-            len(reports),
         )
 
     def conditions_for_object(self, sensed_object_id: ObjectId) -> list[ObjectId]:

@@ -12,7 +12,7 @@ ingest.  See :mod:`repro.gateway.service` for the architecture notes.
 from repro import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.gateway.cache": ["DEFAULT_MAX_ENTRIES", "VersionedCache"],
+    "repro.gateway.cache": ["MAX_ENTRIES", "VersionedCache"],
     "repro.gateway.pagination": [
         "DEFAULT_PAGE_SIZE",
         "MAX_PAGE_SIZE",
@@ -33,7 +33,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.gateway.server": ["GatewayHTTPServer", "serve"],
     "repro.gateway.service": [
         "FleetGateway",
-        "gateway_for_executive",
         "gateway_for_sharded",
     ],
 })

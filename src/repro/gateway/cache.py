@@ -10,8 +10,8 @@ The cache keeps one slot per query *shape* (endpoint plus params), so a
 build at a newer version replaces the one it supersedes instead of
 sitting beside it.  What is versioned how:
 
-* fused documents — the fleet snapshot and its JSON, one object's
-  health, the alarm list — by ``(as_of, intake_watermark)``: the PDME's
+* fused documents — the fleet document, one object's health, the
+  alarm list — by ``(as_of, intake_watermark)``: the PDME's
   evaluation time and its count of reports offered.  Object health
   also carries :attr:`ShipModel.version`, because the part-of closure
   it covers is entity state;
@@ -33,7 +33,7 @@ the diagnostic entries it changed (see
 :meth:`repro.gateway.service.FleetGateway.fleet_health_json`).
 
 Shapes come from query params (object ids, thresholds, type filters),
-so slots are LRU-evicted at ``max_entries``.
+so slots are LRU-evicted at :data:`MAX_ENTRIES`.
 """
 
 from __future__ import annotations
@@ -41,13 +41,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Hashable
 
-from repro.common.errors import GatewayError
 from repro.obs.registry import MetricsRegistry, default_registry
 
-#: Default response-cache capacity, in query shapes.  One fleet
-#: snapshot dominates the byte budget, so a few hundred slots cover
-#: every distinct live query shape.
-DEFAULT_MAX_ENTRIES = 512
+#: Response-cache capacity, in query shapes.  One fleet document
+#: dominates the byte budget, so a few hundred slots cover every
+#: distinct live query shape.
+MAX_ENTRIES = 512
 
 
 class VersionedCache:
@@ -61,19 +60,10 @@ class VersionedCache:
     * ``gateway.cache.hits`` / ``gateway.cache.misses`` — hit-rate
       visibility for capacity planning;
     * ``gateway.cache.evictions`` — thrash detector (rising evictions
-      at a steady working set means ``max_entries`` is too small).
+      at a steady working set means :data:`MAX_ENTRIES` is too small).
     """
 
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        if max_entries < 1:
-            raise GatewayError(
-                f"cache needs at least one entry, got {max_entries}"
-            )
-        self.max_entries = max_entries
+    def __init__(self, metrics: MetricsRegistry | None = None) -> None:
         #: ``shape -> (version, value)``.
         self._entries: OrderedDict[Hashable, tuple[Hashable, Any]] = OrderedDict()
         reg = metrics if metrics is not None else default_registry()
@@ -98,16 +88,10 @@ class VersionedCache:
         tail if full."""
         self._entries[shape] = (version, value)
         self._entries.move_to_end(shape)
-        while len(self._entries) > self.max_entries:
+        while len(self._entries) > MAX_ENTRIES:
             self._entries.popitem(last=False)
             self._m_evictions.inc()
         return value
-
-    def clear(self) -> int:
-        """Drop everything (administrative reset); returns the count."""
-        n = len(self._entries)
-        self._entries.clear()
-        return n
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -28,6 +28,11 @@ MAX_PAGE_SIZE = 1000
 
 DEFAULT_PAGE_SIZE = 50
 
+#: The range of a SQLite INTEGER (signed 64-bit): a log-page cursor
+#: coordinate outside it cannot be bound into the keyset seek.
+_SQLITE_INT_MIN = -(2**63)
+_SQLITE_INT_MAX = 2**63 - 1
+
 
 def clamp_limit(limit: int | None) -> int:
     """The effective page size for a requested limit."""
@@ -51,9 +56,12 @@ def decode_cursor(cursor: str | None) -> tuple[int, int] | None:
         raise GatewayError(f"malformed page cursor {cursor!r}")
     head, _, tail = cursor[1:].partition(".")
     try:
-        return (int(head), int(tail))
+        key = (int(head), int(tail))
     except ValueError as exc:
         raise GatewayError(f"malformed page cursor {cursor!r}") from exc
+    if not all(_SQLITE_INT_MIN <= part <= _SQLITE_INT_MAX for part in key):
+        raise GatewayError(f"page cursor {cursor!r} is out of range")
+    return key
 
 
 def encode_string_cursor(key: str) -> str:

@@ -33,6 +33,7 @@ or a crashed shard); the connection and the server keep serving.
 from __future__ import annotations
 
 import json
+import math
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -206,9 +207,12 @@ def _float_param(params: dict, name: str, default: float) -> float:
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise GatewayError(f"query param {name}={raw!r} is not a number") from exc
+    if not math.isfinite(value):
+        raise GatewayError(f"query param {name}={raw!r} is not a finite number")
+    return value
 
 
 def serve(

@@ -4,7 +4,18 @@ The PDME exists to *serve* fused machinery-health knowledge ("the
 health of a system based on the health of a constituent part"), but
 until this layer every consumer re-walked ``ShipModel`` and re-fused
 ``fused_snapshot()`` from scratch.  :class:`FleetGateway` is the one
-front door:
+front door, deployed one way (:func:`gateway_for_sharded`): fused
+state from the sharded router, report pages from read replicas of its
+partition logs, bulk writes through the router.  Each endpoint has one
+method and one cached form, the response text the HTTP server sends:
+
+* ``fleet_health_json``, ``health_json``, ``alarms_json`` and
+  ``managed_object_json`` return canonical JSON text;
+* ``managed_objects``, ``measurements`` and ``reports`` return
+  :class:`~repro.gateway.pagination.Page` objects the server renders;
+* ``post_reports`` and ``subscribe`` are the write and push paths.
+
+What it offers:
 
 * **typed resources** (:mod:`repro.gateway.resources`) over OOSM
   entities, the report log, and fused diagnostic/prognostic state;
@@ -66,7 +77,7 @@ from repro.gateway.resources import (
 from repro.obs.registry import Counter, MetricsRegistry, default_registry
 from repro.oosm.events import ReportBatchPosted, ReportPosted
 from repro.oosm.model import ShipModel
-from repro.oosm.persistence import PageRow, ReportStore, load_payload
+from repro.oosm.persistence import load_payload
 from repro.protocol.canonical import (
     array_text,
     canonical_dumps,
@@ -80,6 +91,7 @@ from repro.protocol.wire import decode_report
 
 if TYPE_CHECKING:
     from repro.fusion.diagnostic import FusedDiagnosis
+    from repro.pdme.shard import ShardedPdme
 
 #: Sub-millisecond-resolution edges for request latencies (seconds).
 #: Cached hits land in the leading microsecond buckets, uncached
@@ -142,24 +154,15 @@ class FleetGateway:
     Parameters
     ----------
     model:
-        The OOSM holding entities/relationships (and, for the
-        single-process deployment, the retained report list).
+        The OOSM holding entities/relationships and the retained
+        measurement series.
     fused:
-        Fused-state provider: anything with ``fused_snapshot(as_of,
-        objects=None)``, ``fused_diagnoses(objects=None)``,
-        ``fused_curves(as_of, objects=None)``, ``intake_watermark``
-        and ``as_of`` (or ``max_seen_time``) — a
-        :class:`~repro.fusion.engine.KnowledgeFusionEngine`, a
-        :class:`~repro.pdme.shard.ShardedPdme`, or the in-process
-        :class:`~repro.pdme.shard.ShardedFusionEngine`.  It must
-        publish a new watermark only once the write is fused.
+        The fused-state provider, the sharded router
+        (:class:`~repro.pdme.shard.ShardedPdme`).  It publishes its
+        ``as_of`` and ``intake_watermark`` only once a write is fused.
     replica:
-        Optional :class:`ReadReplica` for log reads that must not
-        contend with ingest (the sharded deployment).
-    store:
-        Optional :class:`ReportStore` to page log reads from directly
-        (the single-partition deployment; ignored when ``replica`` is
-        given).
+        The :class:`ReadReplica` report pages are read from, so log
+        reads never contend with ingest.
     writer:
         Optional bulk-write sink ``(reports, report_ids) -> int``.
         Pass the owning router's ``submit_batch`` — the gateway never
@@ -171,10 +174,9 @@ class FleetGateway:
     def __init__(
         self,
         model: ShipModel,
-        fused,
+        fused: ShardedPdme,
         *,
         replica: ReadReplica | None = None,
-        store: ReportStore | None = None,
         writer: Callable[..., int] | None = None,
         metrics: MetricsRegistry | None = None,
         timer: Callable[[], float] | None = None,
@@ -182,7 +184,6 @@ class FleetGateway:
         self.model = model
         self.fused = fused
         self.replica = replica
-        self.store = store
         self._writer = writer
         # Bulk writes from server threads are serialized here: the
         # partition logs stay single-writer even when N HTTP workers
@@ -235,26 +236,13 @@ class FleetGateway:
         return lambda: self._m_latency.observe(max(0.0, self._timer() - t0))
 
     def _now(self) -> float:
-        as_of = getattr(self.fused, "as_of", None)
-        if as_of is not None:
-            return float(as_of)
-        return float(self.fused.max_seen_time)
+        return float(self.fused.as_of)
 
     def _fused_version(self, as_of: float, *entity) -> tuple:
         # Read as_of before the watermark: a provider publishes both
         # only after the write is fused, so a version holding the new
         # watermark is always built over the new state.
         return (as_of, self.fused.intake_watermark, *entity)
-
-    def _snapshot(self, as_of: float) -> dict:
-        """The fused snapshot at ``as_of``, cached by the watermark."""
-        version = self._fused_version(as_of)
-        snap = self.cache.get("snapshot", version)
-        if snap is None:
-            snap = self.cache.put(
-                "snapshot", version, self.fused.fused_snapshot(as_of=as_of)
-            )
-        return snap
 
     def _fleet_document(self, as_of: float) -> str:
         """Canonical bytes of the fused snapshot at ``as_of``, rendering
@@ -311,19 +299,6 @@ class FleetGateway:
         }) + "\n"
 
     # -- managed objects --------------------------------------------------
-    def managed_object(self, object_id: ObjectId) -> ManagedObject:
-        """One entity as a typed resource."""
-        done = self._count("managed_object")
-        try:
-            return self._managed_object(object_id)
-        finally:
-            done()
-
-    def _managed_object(self, object_id: ObjectId) -> ManagedObject:
-        if object_id not in self.model:
-            raise GatewayError(f"no managed object {object_id!r}")
-        return ManagedObject.from_entity(self.model, object_id)
-
     def managed_objects(
         self,
         type_name: str | None = None,
@@ -364,11 +339,10 @@ class FleetGateway:
             version = self.model.version
             doc = self.cache.get(shape, version)
             if doc is None:
-                doc = self.cache.put(
-                    shape,
-                    version,
-                    canonical_dumps(self._managed_object(object_id).to_json()),
-                )
+                if object_id not in self.model:
+                    raise GatewayError(f"no managed object {object_id!r}")
+                entity = ManagedObject.from_entity(self.model, object_id)
+                doc = self.cache.put(shape, version, canonical_dumps(entity.to_json()))
             return doc
         finally:
             done()
@@ -411,13 +385,16 @@ class FleetGateway:
     ) -> Page:
         """One keyset page of the durable report log, arrival order.
 
-        Served from the read replica when one is attached (zero
-        contention with ingest), else from the attached store.
+        Served from the read replica: zero contention with ingest.
         """
         done = self._count("reports")
         try:
             size = clamp_limit(limit)
-            rows = self._page_rows(decode_cursor(after), size)
+            if self.replica is None:
+                raise GatewayError(
+                    "no report log attached: pass replica= to serve report pages"
+                )
+            rows = self.replica.page_after(decode_cursor(after), size)
             decode = self._decode_row
             items = tuple(
                 Report(
@@ -438,29 +415,10 @@ class FleetGateway:
         finally:
             done()
 
-    def _page_rows(
-        self, after: tuple[int, int] | None, limit: int
-    ) -> list[PageRow]:
-        if self.replica is not None:
-            return self.replica.page_after(after, limit)
-        if self.store is not None:
-            return self.store.page_after(after, limit)
-        raise GatewayError(
-            "no report log attached: pass replica= or store= to serve "
-            "report pages"
-        )
-
     # -- fused health -----------------------------------------------------
-    def fleet_health(self) -> dict:
-        """The complete fused model document (cached by watermark)."""
-        done = self._count("fleet_health")
-        try:
-            return self._snapshot(self._now())
-        finally:
-            done()
-
     def fleet_health_json(self, use_cache: bool = True) -> str:
-        """Canonical bytes of :meth:`fleet_health`.
+        """Canonical bytes of the complete fused model document, cached
+        by watermark.
 
         ``use_cache=False`` recomputes snapshot *and* serialization
         from scratch — the oracle cached responses are compared against,
@@ -481,59 +439,33 @@ class FleetGateway:
         finally:
             done()
 
-    def health(self, object_id: ObjectId) -> dict:
-        """The fused health slice for one object (§10.1 multi-level:
-        includes every entry of the object's part-of closure, so a
-        system's health reflects its constituent parts)."""
-        done = self._count("health")
-        try:
-            return self._health(object_id)
-        finally:
-            done()
-
-    def _health(self, object_id: ObjectId) -> dict:
-        if object_id not in self.model:
-            raise GatewayError(f"no managed object {object_id!r}")
-        as_of = self._now()
-        shape = ("health", object_id)
-        version = self._fused_version(as_of, self.model.version)
-        doc = self.cache.get(shape, version)
-        if doc is not None:
-            return doc
-        scope = {object_id} | self.model.parts_closure_ids(object_id)
-        snap = self.fused.fused_snapshot(as_of=as_of, objects=scope)
-        return self.cache.put(shape, version, {
-            "object": object_id,
-            "as_of": snap["as_of"],
-            "diagnostic": snap["diagnostic"],
-            "prognostic": snap["prognostic"],
-        })
-
     def health_json(self, object_id: ObjectId) -> str:
-        """Canonical bytes of :meth:`health`."""
+        """Canonical bytes of the fused health slice for one object
+        (§10.1 multi-level: every entry of the object's part-of closure,
+        so a system's health reflects its constituent parts), cached by
+        watermark and model version."""
         done = self._count("health_json")
         try:
+            as_of = self._now()
             shape = ("health_json", object_id)
-            version = self._fused_version(self._now(), self.model.version)
+            version = self._fused_version(as_of, self.model.version)
             doc = self.cache.get(shape, version)
             if doc is None:
-                doc = self.cache.put(
-                    shape, version, canonical_dumps(self._health(object_id))
-                )
+                if object_id not in self.model:
+                    raise GatewayError(f"no managed object {object_id!r}")
+                scope = {object_id} | self.model.parts_closure_ids(object_id)
+                snap = self.fused.fused_snapshot(as_of=as_of, objects=scope)
+                doc = self.cache.put(shape, version, canonical_dumps({
+                    "object": object_id,
+                    "as_of": snap["as_of"],
+                    "diagnostic": snap["diagnostic"],
+                    "prognostic": snap["prognostic"],
+                }))
             return doc
         finally:
             done()
 
     # -- alarms -----------------------------------------------------------
-    def alarms(self, threshold: float = 0.5) -> tuple[Alarm, ...]:
-        """Fused diagnostic states at or above ``threshold`` severity,
-        ordered (object, group, condition)."""
-        done = self._count("alarms")
-        try:
-            return self._alarms(threshold)
-        finally:
-            done()
-
     def _raised(self, threshold: float) -> list[tuple[str, FusedDiagnosis]]:
         """Diagnostic states at or above ``threshold`` severity, by key."""
         states = self.fused.fused_diagnoses()
@@ -545,18 +477,10 @@ class FleetGateway:
             raised.append((series_key, state))
         return raised
 
-    def _alarms(self, threshold: float) -> tuple[Alarm, ...]:
-        shape = ("alarms", round(float(threshold), 12))
-        version = self._fused_version(self._now())
-        cached = self.cache.get(shape, version)
-        if cached is not None:
-            return cached
-        return self.cache.put(shape, version, tuple(
-            _alarm(series_key, state) for series_key, state in self._raised(threshold)
-        ))
-
     def alarms_json(self, threshold: float = 0.5) -> str:
-        """Canonical bytes of :meth:`alarms`.
+        """Canonical bytes of the alarm list: fused diagnostic states at
+        or above ``threshold`` severity, ordered (object, group,
+        condition).
 
         An entry keeps its text while its pair's :class:`FusedDiagnosis`
         is the same object, as the fleet document's entries do.
@@ -666,36 +590,16 @@ class FleetGateway:
 
 def gateway_for_sharded(
     model: ShipModel,
-    pdme,
+    pdme: ShardedPdme,
     metrics: MetricsRegistry | None = None,
     timer: Callable[[], float] | None = None,
 ) -> FleetGateway:
-    """The sharded deployment: replica reads, router writes."""
+    """The gateway's one deployment: replica reads, router writes."""
     return FleetGateway(
         model,
         pdme,
         replica=ReadReplica.for_pdme(pdme),
         writer=pdme.submit_batch,
-        metrics=metrics,
-        timer=timer,
-    )
-
-
-def gateway_for_executive(
-    executive,
-    metrics: MetricsRegistry | None = None,
-    timer: Callable[[], float] | None = None,
-) -> FleetGateway:
-    """The single-process deployment over a live PdmeExecutive."""
-
-    def write(reports, report_ids=None):
-        executive.submit_batch(list(reports))
-        return len(reports)
-
-    return FleetGateway(
-        executive.model,
-        executive.engine,
-        writer=write,
         metrics=metrics,
         timer=timer,
     )

@@ -309,13 +309,14 @@ class ReportStore:
         reports: Sequence[FailurePredictionReport],
         report_ids: Sequence[str | None] | None = None,
         intake_seqs: Sequence[int] | None = None,
-    ) -> int:
+    ) -> list[int]:
         """Append a batch of reports in one coalesced transaction.
 
         Duplicate ids (previously stored or repeated within the batch)
-        are skipped.  Returns the number of reports actually written.
-        The log contents are byte-identical to calling :meth:`ingest`
-        once per report in the same order.
+        are skipped.  Returns the positions in ``reports`` of the
+        reports actually written, ascending.  The log contents are
+        byte-identical to calling :meth:`ingest` once per report in the
+        same order.
 
         ``intake_seqs`` optionally stamps each report with the global
         arrival order assigned by a shard router — partitions of a
@@ -334,12 +335,14 @@ class ReportStore:
         # Single dedup pass against the in-memory index, then one
         # executemany inside one transaction: per-batch, not per-row.
         rows: list[tuple[str | None, str, int | None]] = []
+        written: list[int] = []
         fresh_ids: set[str] = set()
         for i, (report, rid) in enumerate(zip(reports, report_ids)):
             if rid is not None and (rid in self._seen_ids or rid in fresh_ids):
                 continue
             if rid is not None:
                 fresh_ids.add(rid)
+            written.append(i)
             rows.append((
                 rid,
                 json.dumps(encode_report(report)),
@@ -353,7 +356,7 @@ class ReportStore:
                     rows,
                 )
             self._seen_ids |= fresh_ids
-        return len(rows)
+        return written
 
     # -- reads -----------------------------------------------------------
     def all_reports(self) -> list[FailurePredictionReport]:
@@ -401,10 +404,6 @@ class ReportStore:
             "ORDER BY IFNULL(intake_seq, -1) DESC, seq DESC LIMIT 1"
         ).fetchone()
         return (int(row[0]), int(row[1])) if row is not None else None
-
-    def seen(self, report_id: str) -> bool:
-        """Was a report with this id already ingested?"""
-        return report_id in self._seen_ids
 
     @property
     def count(self) -> int:

@@ -13,7 +13,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.pdme.executive": ["PdmeExecutive"],
     "repro.pdme.priorities": ["PriorityEntry", "prioritize"],
     "repro.pdme.shard": [
-        "ShardedFusionEngine",
         "ShardedPdme",
         "ShardLayout",
         "ShardWorker",

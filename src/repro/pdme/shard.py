@@ -21,7 +21,8 @@ Pieces:
 * :class:`ShardWorker` — one shard's single-writer
   :class:`~repro.oosm.persistence.ReportStore` partition plus its own
   :class:`~repro.fusion.engine.KnowledgeFusionEngine`.  No cross-shard
-  locks; batches land through the store's coalesced ``ingest_batch``.
+  locks; batches land through the store's coalesced ``ingest_batch``,
+  which alone decides what is a duplicate.
   Crash/restart rebuilds the engine by replaying the partition log in
   intake order — dedup cursors (report ids) reload from the store.
 * :class:`ShardedPdme` — the router.  Splits batched intake by shard,
@@ -29,14 +30,13 @@ Pieces:
   back into the original arrival order, tracks the global ``as_of``,
   merges fused state deterministically, and rebalances to a new
   partition layout without dropping or duplicating reports.
-* :class:`ShardedFusionEngine` — the in-process facade used by the
-  scoring harness: same routing, no stores, drop-in for a single
-  :class:`KnowledgeFusionEngine` where only per-object queries are made.
 * :func:`parallel_shard_ingest` — the multi-process executor timed by
   the ``shard_scaling`` gate (``benchmarks/gates.py``): one OS process
   per shard, fused fragments merged in the parent.  ``n_shards=1`` is
-  the in-process oracle, like ``full_recompute()`` for incremental
-  fusion.
+  the in-process oracle.
+
+The router is the one sharded path: ``mpros serve``, the gateway, the
+gates and the e2e workloads all fuse through :class:`ShardedPdme`.
 """
 
 from __future__ import annotations
@@ -150,98 +150,6 @@ def merge_snapshots(fragments: Sequence[dict], as_of: float) -> dict:
     return {"as_of": as_of, "diagnostic": diagnostic, "prognostic": prognostic}
 
 
-class ShardedFusionEngine:
-    """N independent fusion engines behind a single-engine facade.
-
-    The in-process form of sharding, used by the scoring harness and as
-    the N=1-vs-N oracle: reports route by sensed object, per-object
-    queries route the same way, and :meth:`fused_snapshot` merges the
-    partitions at the global ``as_of``.
-    """
-
-    def __init__(
-        self,
-        n_shards: int,
-        engine_factory: Callable[[], KnowledgeFusionEngine],
-        vnodes: int = DEFAULT_VNODES,
-    ) -> None:
-        self.layout = ShardLayout(n_shards, vnodes)
-        self.engines = [engine_factory() for _ in range(n_shards)]
-
-    def _engine_for(self, sensed_object_id: ObjectId) -> KnowledgeFusionEngine:
-        return self.engines[self.layout.shard_of(sensed_object_id)]
-
-    def ingest(self, report: FailurePredictionReport) -> bool:
-        """Route one report to its shard's engine; True if fused."""
-        return self._engine_for(report.sensed_object_id).ingest(report)
-
-    def ingest_batch(self, reports: list[FailurePredictionReport]) -> None:
-        """Route a batch; per-shard sublists keep arrival order."""
-        for report in reports:
-            self.ingest(report)
-
-    @property
-    def max_seen_time(self) -> float:
-        """Global fusion "now": max over the shard-local maxima."""
-        return max(e.max_seen_time for e in self.engines)
-
-    @property
-    def intake_watermark(self) -> int:
-        """Reports offered across all shards (snapshot-cache key)."""
-        return sum(e.intake_watermark for e in self.engines)
-
-    def time_to_failure(
-        self, sensed_object_id: ObjectId, machine_condition_id: ObjectId,
-        probability: float = 0.5, now: float | None = None,
-    ) -> float:
-        """Per-object query, routed to the owning shard."""
-        t = now if now is not None else self.max_seen_time
-        return self._engine_for(sensed_object_id).time_to_failure(
-            sensed_object_id, machine_condition_id, probability, now=t
-        )
-
-    def _engines_for(
-        self, objects: Collection[ObjectId] | None
-    ) -> list[KnowledgeFusionEngine]:
-        if objects is None:
-            return self.engines
-        return [self.engines[i] for i in _owning_shards(self.layout, objects)]
-
-    def fused_snapshot(
-        self, as_of: float | None = None, objects: Collection[ObjectId] | None = None
-    ) -> dict:
-        """Merged fused model at one shared evaluation time; with
-        ``objects``, only their pairs, read from their owning shards."""
-        t = as_of if as_of is not None else self.max_seen_time
-        return merge_snapshots(
-            [
-                e.fused_snapshot(as_of=t, objects=objects)
-                for e in self._engines_for(objects)
-            ],
-            t,
-        )
-
-    def fused_diagnoses(
-        self, objects: Collection[ObjectId] | None = None
-    ) -> dict[str, FusedDiagnosis]:
-        """Merged live diagnostic state; no prognostic fusion runs."""
-        merged: dict[str, FusedDiagnosis] = {}
-        for engine in self._engines_for(objects):
-            merged.update(engine.fused_diagnoses(objects))
-        return merged
-
-    def fused_curves(
-        self, as_of: float | None = None, objects: Collection[ObjectId] | None = None
-    ) -> dict[str, tuple[int, PrognosticVector]]:
-        """Merged ``(report_count, fused vector)`` per pair at one shared
-        evaluation time."""
-        t = as_of if as_of is not None else self.max_seen_time
-        merged: dict[str, tuple[int, PrognosticVector]] = {}
-        for engine in self._engines_for(objects):
-            merged.update(engine.fused_curves(t, objects))
-        return merged
-
-
 class ShardWorker:
     """One shard: a single-writer store partition plus its engine.
 
@@ -293,37 +201,18 @@ class ShardWorker:
     ) -> int:
         """Persist then fuse a batch; duplicates are dropped exactly once.
 
-        The dedup decision is made against the store's durable id index
-        *before* anything is written or fused, so a crashed-and-retried
-        batch (at-least-once delivery) re-fuses nothing: the persisted
-        ids survive the crash and the replayed copies are absorbed.
+        The store decides which reports are duplicates, against its
+        durable id index, and writes the rest; exactly those are fused.
+        A crashed-and-retried batch (at-least-once delivery) therefore
+        re-fuses nothing: the persisted ids survive the crash and the
+        replayed copies are absorbed.
         """
         self._require_alive()
-        ids = list(report_ids) if report_ids is not None else [None] * len(reports)
-        if len(ids) != len(reports):
-            raise MprosError(
-                f"got {len(reports)} reports but {len(ids)} report ids"
-            )
-        fresh: list[FailurePredictionReport] = []
-        fresh_ids: list[str | None] = []
-        fresh_seqs: list[int] = []
-        batch_seen: set[str] = set()
-        for i, (report, rid) in enumerate(zip(reports, ids)):
-            if rid is not None and (self.store.seen(rid) or rid in batch_seen):
-                self.duplicates_dropped += 1
-                continue
-            if rid is not None:
-                batch_seen.add(rid)
-            fresh.append(report)
-            fresh_ids.append(rid)
-            if intake_seqs is not None:
-                fresh_seqs.append(intake_seqs[i])
-        if fresh:
-            self.store.ingest_batch(
-                fresh, fresh_ids, fresh_seqs if intake_seqs is not None else None
-            )
-            self.engine.ingest_batch(fresh)
-        return len(fresh)
+        written = self.store.ingest_batch(reports, report_ids, intake_seqs)
+        self.duplicates_dropped += len(reports) - len(written)
+        if written:
+            self.engine.ingest_batch([reports[i] for i in written])
+        return len(written)
 
     def fused_snapshot(
         self, as_of: float, objects: Collection[ObjectId] | None = None

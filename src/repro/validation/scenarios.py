@@ -204,26 +204,10 @@ def get_scenario(name: str, quick: bool = False) -> ScenarioSpec:
     return spec.quick() if quick else spec
 
 
-def _build_engine(spec: ScenarioSpec, shards: int | None):
-    """The run's fusion engine: single, or the sharded facade.
-
-    Consistent-hash sharding preserves per-object substream order, so
-    any shard count scores byte-identically to the single engine — the
-    golden shard-invariance tests pin the scorecards to the same
-    masters at 1/2/4 shards.
-    """
-    if shards is None:
-        return spec.build_fusion()
-    from repro.pdme.shard import ShardedFusionEngine
-
-    return ShardedFusionEngine(shards, spec.build_fusion)
-
-
 def _run_once(
     spec: ScenarioSpec,
     fault: FaultKind | None,
     rng: np.random.Generator,
-    shards: int | None = None,
 ) -> RunScore:
     """Grow one fault (or run one healthy control) and score the run."""
     sim = spec.build_simulator(rng)
@@ -234,7 +218,7 @@ def _run_once(
             )
         )
     sources = spec.build_sources()
-    engine = _build_engine(spec, shards)
+    engine = spec.build_fusion()
     truth_id = fault.condition_id if fault is not None else ""
     detections: dict[str, float] = {}
     ttf_errors: list[float] = []
@@ -291,24 +275,22 @@ def run_scenario_suite(
     spec: ScenarioSpec,
     seed: int = 0,
     n_resamples: int = 2000,
-    shards: int | None = None,
 ) -> ScenarioScorecard:
     """Run every fault in ``spec`` plus healthy controls; score the lot.
 
     RNG streams derive from ``seed`` per run (tagged by fault name /
     control index), so adding a fault to the spec does not perturb the
     other runs' streams — scorecards stay comparable across spec
-    growth.  ``shards`` routes fusion through the sharded facade; any
-    value yields a byte-identical scorecard (see ``tests/shard/``).
+    growth.
     """
     root = make_rng(seed)
     runs: list[RunScore] = []
     for fault in spec.faults:
         runs.append(
-            _run_once(spec, fault, derive_rng(root, "fault", fault.value), shards)
+            _run_once(spec, fault, derive_rng(root, "fault", fault.value))
         )
     for i in range(spec.healthy_controls):
-        runs.append(_run_once(spec, None, derive_rng(root, "healthy", i), shards))
+        runs.append(_run_once(spec, None, derive_rng(root, "healthy", i)))
     return score_scenario(
         scenario=spec.name,
         plant=spec.plant,

@@ -18,11 +18,8 @@ from repro.analysis.output import Baseline
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src" / "repro"
 
-STAMPED_WRITE = """\
-            self.store.ingest_batch(
-                fresh, fresh_ids, fresh_seqs if intake_seqs is not None else None
-            )"""
-UNSTAMPED_WRITE = "            self.store.ingest_batch(fresh, fresh_ids)"
+STAMPED_WRITE = "self.store.ingest_batch(reports, report_ids, intake_seqs)"
+UNSTAMPED_WRITE = "self.store.ingest_batch(reports, report_ids)"
 
 ROGUE_WRITER = """
 

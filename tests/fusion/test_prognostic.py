@@ -212,6 +212,38 @@ def test_noisy_or_dominates_every_input(vs):
         assert np.all(nor_vals >= np.asarray(v.probability_at(grid)) - 1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    stream=st.lists(
+        st.tuples(
+            vectors(),
+            st.floats(min_value=0.0, max_value=1e5),
+            st.sampled_from(["mc:a", "mc:b"]),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    nows=st.lists(st.floats(min_value=0.0, max_value=2e5), min_size=1, max_size=4),
+)
+def test_fused_equals_the_envelope_of_the_rebased_stream(stream, nows):
+    """Fusion keeps no oracle of its own: at every query time, and again
+    from the memo, each pair's fused curve is bit for bit the
+    conservative envelope of the test's own reports for that pair,
+    re-based to that time."""
+    pf = PrognosticFusion()
+    for vector, t, cond in stream:
+        pf.ingest(prog_report(vector.to_pairs(), t=t, cond=cond))
+    for now in nows + nows:
+        for cond in ("mc:a", "mc:b"):
+            mine = [(v, t) for v, t, c in stream if c == cond]
+            want = conservative_envelope(
+                [v.shifted(max(0.0, now - t)) for v, t in mine]
+            )
+            count, got = pf.fused("obj:comp", cond, now)
+            assert count == len(mine)
+            assert _bits(got.to_pairs()) == _bits(want.to_pairs())
+
+
 # -- the float envelope against the numpy form it replaced ----------------
 
 def _numpy_envelope(vectors):

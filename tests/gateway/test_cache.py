@@ -4,15 +4,12 @@ versions."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.common.errors import GatewayError
-from repro.gateway.cache import VersionedCache
+from repro.gateway.cache import MAX_ENTRIES, VersionedCache
 from repro.obs.registry import MetricsRegistry
 
 
 def test_get_put_and_counters():
-    cache = VersionedCache(4, metrics=MetricsRegistry())
+    cache = VersionedCache(metrics=MetricsRegistry())
     assert cache.get("a", 1) is None
     cache.put("a", 1, "payload")
     assert cache.get("a", 1) == "payload"
@@ -23,36 +20,35 @@ def test_get_put_and_counters():
 
 
 def test_newer_build_replaces_its_slot():
-    cache = VersionedCache(4, metrics=MetricsRegistry())
-    cache.put(("health", "obj:m0"), (10.0, 1), "old")
-    cache.put(("health", "obj:m0"), (11.0, 2), "new")
+    cache = VersionedCache(metrics=MetricsRegistry())
+    cache.put(("health_json", "obj:m0"), (10.0, 1), "old")
+    cache.put(("health_json", "obj:m0"), (11.0, 2), "new")
     assert len(cache) == 1
-    assert cache.get(("health", "obj:m0"), (10.0, 1)) is None
-    assert cache.get(("health", "obj:m0"), (11.0, 2)) == "new"
+    assert cache.get(("health_json", "obj:m0"), (10.0, 1)) is None
+    assert cache.get(("health_json", "obj:m0"), (11.0, 2)) == "new"
 
 
 def test_lru_evicts_oldest_first():
-    cache = VersionedCache(2, metrics=MetricsRegistry())
+    registry = MetricsRegistry()
+    cache = VersionedCache(metrics=registry)
     cache.put("a", 0, 1)
     cache.put("b", 0, 2)
+    for k in range(MAX_ENTRIES - 2):
+        cache.put(k, 0, k)
+    assert len(cache) == MAX_ENTRIES
     assert cache.get("a", 0) == 1  # refreshes recency: b is now LRU
     cache.put("c", 0, 3)
     assert cache.get("b", 0) is None
     assert cache.get("a", 0) == 1
     assert cache.get("c", 0) == 3
-    assert len(cache) == 2
+    assert len(cache) == MAX_ENTRIES
+    assert registry.snapshot()["counters"]["gateway.cache.evictions"] == 1
 
 
-def test_put_returns_value_and_clear_empties():
-    cache = VersionedCache(8, metrics=MetricsRegistry())
+def test_put_returns_value():
+    cache = VersionedCache(metrics=MetricsRegistry())
     assert cache.put("k", 0, [1, 2]) == [1, 2]
-    assert cache.clear() == 1
-    assert len(cache) == 0
-
-
-def test_zero_capacity_rejected():
-    with pytest.raises(GatewayError):
-        VersionedCache(0, metrics=MetricsRegistry())
+    assert len(cache) == 1
 
 
 def test_watermark_invalidates_fused_responses(fleet, gateway):
@@ -94,7 +90,6 @@ def test_cached_bytes_identical_to_uncached_oracle(gateway):
 
 
 def _read_every_shape(gateway, objects):
-    gateway.fleet_health()
     gateway.fleet_health_json()
     for oid in objects:
         gateway.health_json(oid)
@@ -113,9 +108,9 @@ def test_slots_hold_only_current_versions(fleet, gateway):
         model.set_property(objects[0], "location", f"bay {step}")
         _read_every_shape(gateway, objects)
         slots = gateway.cache._entries
-        # snapshot, fleet JSON, alarms, listing; health, health JSON
-        # and the entity document per object.
-        assert len(slots) == 4 + 3 * len(objects)
+        # Fleet document, alarms, listing; health and the entity
+        # document per object: one slot per shape.
+        assert len(slots) == 3 + 2 * len(objects)
         for shape, (version, _) in slots.items():
             name = shape if isinstance(shape, str) else shape[0]
             if name.startswith("managed_"):

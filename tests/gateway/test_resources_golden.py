@@ -54,7 +54,7 @@ def test_canonical_responses_are_pinned(fleet, gateway):
         "measurements": gateway.measurements(first, limit=5).to_json(),
         "reports": gateway.reports(None, 5).to_json(),
         "alarms": json.loads(gateway.alarms_json(0.3)),
-        "health": gateway.health(first),
+        "health": json.loads(gateway.health_json(first)),
         "subscription": gateway.subscribe(lambda r: None, first).to_json(),
         "stats_keys": sorted(gateway.stats()),
     }

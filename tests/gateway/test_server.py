@@ -97,6 +97,39 @@ def test_error_statuses(http_fleet):
         assert "error" in json.loads(err.value.read())
 
 
+@pytest.mark.parametrize("cursor", [
+    "k99999999999999999999999.1",
+    "k1.99999999999999999999999",
+    "k-9223372036854775809.1",
+    "k1.9223372036854775808",
+])
+def test_out_of_range_cursor_is_a_400_and_the_server_keeps_serving(http_fleet, cursor):
+    """A cursor coordinate that no SQLite INTEGER can hold, in the key
+    part or the seq part, is the client's error, not a dropped
+    connection."""
+    _, _, base = http_fleet
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _get(base, f"/reports?cursor={cursor}")
+    assert err.value.code == 400
+    assert "out of range" in json.loads(err.value.read())["error"]
+    status, page = _get(base, "/reports?cursor=k9223372036854775807.9223372036854775807")
+    assert status == 200 and page["items"] == []
+
+
+@pytest.mark.parametrize("threshold", ["nan", "NaN", "inf", "-inf", "infinity"])
+def test_non_finite_threshold_is_a_400_and_caches_nothing(http_fleet, threshold):
+    """``nan`` compares unequal to itself, so each request would make a
+    new cache slot, and it would pass every severity as "no threshold"."""
+    _, gateway, base = http_fleet
+    before = len(gateway.cache)
+    for _ in range(3):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _get(base, f"/alarms?threshold={threshold}")
+        assert err.value.code == 400
+        assert "finite" in json.loads(err.value.read())["error"]
+    assert len(gateway.cache) == before
+
+
 def test_system_error_is_a_500_and_the_server_keeps_serving(http_fleet, tmp_path):
     # A log row that is valid JSON but no report: decoding it raises
     # an MprosError that is not the client's fault.

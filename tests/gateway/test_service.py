@@ -3,10 +3,12 @@ subscriptions, bulk writes, error paths."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.common.errors import GatewayError
-from repro.gateway import FleetGateway, gateway_for_executive, gateway_for_sharded
+from repro.gateway import FleetGateway, gateway_for_sharded
 from repro.obs.registry import MetricsRegistry
 
 
@@ -30,11 +32,10 @@ def test_managed_objects_drain_matches_model(fleet, gateway):
 def test_managed_object_resource_fields(fleet, gateway):
     model, _, reports, _ = fleet
     first = _first_object(reports)
-    mo = gateway.managed_object(first)
-    assert mo.id == first
-    assert mo.type == "rotating-machine"
-    assert mo.system == first  # no part-of edges in this fleet
-    doc = mo.to_json()
+    doc = json.loads(gateway.managed_object_json(first))
+    assert doc["id"] == first
+    assert doc["type"] == "rotating-machine"
+    assert doc["system"] == first  # no part-of edges in this fleet
     assert set(doc) == {
         "id", "type", "name", "properties", "parent", "system",
         "childAssets", "proximate", "flowsTo", "monitoredBy",
@@ -70,7 +71,7 @@ def test_reports_drain_is_global_arrival_order(fleet, gateway):
 def test_health_slice_restricted_to_object(fleet, gateway):
     _, _, reports, _ = fleet
     first = _first_object(reports)
-    doc = gateway.health(first)
+    doc = json.loads(gateway.health_json(first))
     assert doc["object"] == first
     assert doc["diagnostic"]  # this object has fused state
     for key in list(doc["diagnostic"]) + list(doc["prognostic"]):
@@ -78,11 +79,14 @@ def test_health_slice_restricted_to_object(fleet, gateway):
 
 
 def test_alarm_threshold_monotone(gateway):
-    low = gateway.alarms(0.1)
-    high = gateway.alarms(0.9)
+    def alarms(threshold):
+        return json.loads(gateway.alarms_json(threshold))["alarms"]
+
+    low = alarms(0.1)
+    high = alarms(0.9)
     assert len(low) >= len(high)
-    assert all(a.severity >= 0.5 for a in gateway.alarms(0.5))
-    assert all(a.status == "ACTIVE" for a in low)
+    assert all(a["severity"] >= 0.5 for a in alarms(0.5))
+    assert all(a["status"] == "ACTIVE" for a in low)
 
 
 def test_subscription_filter_and_cancel(fleet, gateway):
@@ -135,9 +139,9 @@ def test_post_reports_routes_through_writer_with_dedup(fleet, gateway):
 def test_unknown_object_and_missing_backends_raise(fleet, gateway):
     model, pdme, _, _ = fleet
     for call in (
-        lambda: gateway.managed_object("obj:nope"),
+        lambda: gateway.managed_object_json("obj:nope"),
         lambda: gateway.measurements("obj:nope"),
-        lambda: gateway.health("obj:nope"),
+        lambda: gateway.health_json("obj:nope"),
         lambda: gateway.subscribe(lambda r: None, "obj:nope"),
     ):
         with pytest.raises(GatewayError):
@@ -156,9 +160,7 @@ def test_request_metrics_accumulate(fleet):
         model, pdme, metrics=MetricsRegistry(), timer=lambda: float(next(ticks))
     )
     first = _first_object(reports)
-    gateway.fleet_health()
-    gateway.fleet_health()
-    gateway.alarms(0.5)
+    gateway.reports(None, 5)
     # The second call of each pair is a cache hit: still one request,
     # counted and timed once, under its own endpoint.
     for _ in range(2):
@@ -168,45 +170,44 @@ def test_request_metrics_accumulate(fleet):
         gateway.fleet_health_json()
     snap = gateway.metrics.snapshot()
     counters = snap["counters"]
-    assert counters["gateway.requests{endpoint=fleet_health}"] == 2
-    assert counters["gateway.requests{endpoint=alarms}"] == 1
+    assert counters["gateway.requests{endpoint=reports}"] == 1
     for endpoint in (
         "health_json", "alarms_json", "managed_object_json", "fleet_health_json"
     ):
         assert counters[f"gateway.requests{{endpoint={endpoint}}}"] == 2
-    # The shared bodies are not counted a second time.
-    assert "gateway.requests{endpoint=health}" not in counters
-    assert "gateway.requests{endpoint=managed_object}" not in counters
     requests = sum(
         v for k, v in counters.items() if k.startswith("gateway.requests{")
     )
-    assert requests == 11
+    assert requests == 9
     assert snap["histograms"]["gateway.request_seconds"]["count"] == requests
 
 
-def test_read_inside_an_engine_ingest_never_pins_pre_write_state(workload):
-    """The single-engine deployment publishes its watermark only after
-    a report is fused, like the sharded router."""
-    reports, _ = workload
-    executive = _build_executive(reports[:50])
-    gw = gateway_for_executive(executive, metrics=MetricsRegistry())
-    engine = executive.engine
+def test_read_inside_an_engine_ingest_never_pins_pre_write_state(fleet, gateway):
+    """A read landing while a shard's engine fuses a write (after the
+    store committed it) must not cache the pre-write document under the
+    post-write key: the router publishes its watermark only after every
+    shard has fused its part."""
+    _, pdme, reports, _ = fleet
     first = reports[0].sensed_object_id
+    engine = pdme.workers[pdme.layout.shard_of(first)].engine
     real = engine.diagnostic.ingest
     seen: list[str] = []
 
     def ingest_with_a_read(report):
-        seen.append(gw.fleet_health_json())
+        seen.append(gateway.fleet_health_json())
         return real(report)
 
     engine.diagnostic.ingest = ingest_with_a_read
     try:
-        gw.post_reports([_fresh_report(reports[0], first, engine.max_seen_time + 10.0)])
+        written = gateway.post_reports(
+            [_fresh_report(reports[0], first, pdme.as_of + 10.0)], ["dc:gw#inside"]
+        )
     finally:
         engine.diagnostic.ingest = real
+    assert written == 1
     assert seen
-    assert gw.fleet_health_json() == gw.fleet_health_json(use_cache=False)
-    assert gw.fleet_health_json() != seen[0]
+    assert gateway.fleet_health_json() == gateway.fleet_health_json(use_cache=False)
+    assert gateway.fleet_health_json() != seen[0]
 
 
 def _fresh_report(template, object_id, timestamp):
@@ -221,48 +222,19 @@ def _fresh_report(template, object_id, timestamp):
     )
 
 
-def test_executive_deployment_serves_and_accepts_writes(workload):
-    from repro.pdme.executive import PdmeExecutive
-
-    reports, _ = workload
-    executive = _build_executive(reports)
-    gw = gateway_for_executive(executive, metrics=MetricsRegistry())
-    oracle = gw.fleet_health_json(use_cache=False)
-    assert gw.fleet_health_json() == oracle
-    n = len(executive.model.reports_for(reports[0].sensed_object_id))
-    assert gw.post_reports([reports[0]]) == 1
-    assert (
-        len(executive.model.reports_for(reports[0].sensed_object_id)) == n + 1
-    )
-
-
-def _build_executive(reports):
-    from repro.fusion.groups import default_chiller_groups
-    from repro.oosm.model import ShipModel
-    from repro.pdme.executive import PdmeExecutive
-
-    model = ShipModel()
-    for oid in sorted({r.sensed_object_id for r in reports}):
-        model.create("rotating-machine", id=oid, name=oid)
-    executive = PdmeExecutive(model, default_chiller_groups())
-    executive.submit_batch(list(reports))
-    return executive
-
-
 def test_kept_curve_text_follows_a_reset_pair(workload):
     """A pair reset after maintenance and fed one new report with other
     probabilities renders the new ones, not the text kept for the old
     report."""
-    from repro.fusion.engine import KnowledgeFusionEngine
-    from repro.fusion.groups import default_chiller_groups
     from repro.oosm.model import ShipModel
+    from repro.pdme.shard import ShardedPdme
     from repro.protocol.canonical import canonical_dumps
     from repro.protocol.prognostic import PrognosticVector
 
     reports, _ = workload
-    engine = KnowledgeFusionEngine(default_chiller_groups())
-    model = ShipModel()
-    gw = FleetGateway(model, engine, metrics=MetricsRegistry())
+    pdme = ShardedPdme(1)
+    engine = pdme.workers[0].engine
+    gw = FleetGateway(ShipModel(), pdme, metrics=MetricsRegistry())
 
     def single(t, probabilities):
         return reports[0].__class__(
@@ -277,9 +249,9 @@ def test_kept_curve_text_follows_a_reset_pair(workload):
             ),
         )
 
-    engine.ingest(single(100.0, (0.1, 0.2, 0.3)))
-    assert gw.fleet_health_json() == canonical_dumps(engine.fused_snapshot())
+    pdme.submit(single(100.0, (0.1, 0.2, 0.3)))
+    assert gw.fleet_health_json() == canonical_dumps(pdme.fused_snapshot())
     engine.prognostic.reset("obj:m0", "mc:oil-contamination")
-    engine.ingest(single(160.0, (0.4, 0.5, 0.6)))
-    assert gw.fleet_health_json() == canonical_dumps(engine.fused_snapshot())
+    pdme.submit(single(160.0, (0.4, 0.5, 0.6)))
+    assert gw.fleet_health_json() == canonical_dumps(pdme.fused_snapshot())
     assert '"curve"' in gw.fleet_health_json() and "0.5" in gw.fleet_health_json()

@@ -4,7 +4,8 @@ Hypothesis generates arbitrary report streams with arbitrary duplicate
 patterns (repeated ids, id-less entries) and arbitrary batch splits;
 the coalesced :meth:`ReportStore.ingest_batch` path must leave the
 store byte-identical (via the canonical wire form) to scalar
-:meth:`ReportStore.ingest` calls in the same order.
+:meth:`ReportStore.ingest` calls in the same order, and report as
+written exactly the reports the scalar calls accepted.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -42,23 +43,27 @@ def test_ingest_batch_byte_identical_to_scalar(entries, batch_size):
     ids = [None if slot is None else f"dc:prop#{slot}" for _, slot in entries]
 
     scalar = ReportStore()
-    written_scalar = sum(
-        scalar.ingest(r, rid) for r, rid in zip(reports, ids)
-    )
+    written_scalar = [scalar.ingest(r, rid) for r, rid in zip(reports, ids)]
 
+    # The batch reports the positions it wrote: exactly the reports the
+    # scalar path accepted.
     batched = ReportStore()
-    written_batched = 0
+    written_batched: list[bool] = []
     for s in range(0, len(reports), batch_size):
-        written_batched += batched.ingest_batch(
+        written = batched.ingest_batch(
             reports[s : s + batch_size], ids[s : s + batch_size]
         )
+        size = len(reports[s : s + batch_size])
+        written_batched += [i in written for i in range(size)]
+        assert written == sorted(written)
 
     assert written_batched == written_scalar
     assert canonical_json(batched.all_reports()) == canonical_json(
         scalar.all_reports()
     )
     assert batched.count == scalar.count
-    for rid in {i for i in ids if i is not None}:
-        assert batched.seen(rid) == scalar.seen(rid)
+    assert [rid for _, rid, _ in batched.rows()] == [
+        rid for _, rid, _ in scalar.rows()
+    ]
     scalar.close()
     batched.close()

@@ -15,6 +15,7 @@ import sqlite3
 import pytest
 
 from repro.common.errors import OosmError
+from repro.gateway.replica import ReadReplica
 from repro.gateway.service import PAGE_MEMO_ROWS, FleetGateway
 from repro.obs.registry import MetricsRegistry
 from repro.oosm.model import ShipModel
@@ -80,6 +81,13 @@ def _store_with_one_bad_row(tmp_path, payload: str) -> ReportStore:
     return store
 
 
+def _log_gateway(tmp_path) -> FleetGateway:
+    """A gateway paging the log at ``tmp_path/log.sqlite`` through a
+    read replica, as the served deployment does."""
+    replica = ReadReplica([tmp_path / "log.sqlite"])
+    return FleetGateway(ShipModel(), None, replica=replica, metrics=MetricsRegistry())
+
+
 def test_log_readers_refuse_a_corrupt_row(tmp_path, corrupt):
     store = _store_with_one_bad_row(tmp_path, corrupt)
     try:
@@ -87,7 +95,7 @@ def test_log_readers_refuse_a_corrupt_row(tmp_path, corrupt):
             store.rows()
         with pytest.raises(OosmError):
             store.all_reports()
-        gateway = FleetGateway(ShipModel(), None, store=store, metrics=MetricsRegistry())
+        gateway = _log_gateway(tmp_path)
         # The good row still pages; the page holding the bad one fails.
         assert [item.report_id for item in gateway.reports(None, 1).items] == ["a"]
         with pytest.raises(OosmError):
@@ -114,7 +122,7 @@ def test_page_memo_is_bounded_and_decodes_each_row_once(tmp_path):
     store = ReportStore(tmp_path / "log.sqlite")
     try:
         store.ingest_batch([_report(float(i)) for i in range(5)], [str(i) for i in range(5)])
-        gateway = FleetGateway(ShipModel(), None, store=store, metrics=MetricsRegistry())
+        gateway = _log_gateway(tmp_path)
         first = gateway.reports(None, 5)
         again = gateway.reports(None, 5)
         assert [a.report for a in first.items] == [b.report for b in again.items]
