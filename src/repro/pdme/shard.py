@@ -101,11 +101,22 @@ class ShardLayout:
         )
         self._points = [p for p, _ in points]
         self._owners = [s for _, s in points]
+        # Routed keys and their shards: one entry per object this layout
+        # has routed, that is the objects with reports (the keys of the
+        # fused state) and the managed objects reads are scoped to.  A
+        # rebalance builds a new layout, so it starts an empty memo.
+        # Readers may route while the writer does: the value is a pure
+        # function of (key, layout), so a racing store writes the same
+        # int.
+        self._memo: dict[ObjectId, int] = {}
 
     def shard_of(self, key: ObjectId) -> int:
         """The shard owning a key; pure function of (key, layout)."""
-        i = bisect.bisect_right(self._points, _hash64(str(key)))
-        return self._owners[i % len(self._owners)]
+        shard = self._memo.get(key)
+        if shard is None:
+            i = bisect.bisect_right(self._points, _hash64(str(key)))
+            shard = self._memo[key] = self._owners[i % len(self._owners)]
+        return shard
 
     def partition(
         self, reports: Sequence[FailurePredictionReport]
@@ -353,6 +364,8 @@ class ShardedPdme:
 
         Returns the number of reports actually written (duplicates by
         report id are absorbed at their owning shard, exactly once).
+        A report id that is neither a string nor ``None`` is refused
+        before anything is stamped, routed or written.
         """
         ids = list(report_ids) if report_ids is not None else [None] * len(reports)
         if len(ids) != len(reports):
@@ -365,6 +378,12 @@ class ShardedPdme:
         seq = self._next_seq
         as_of = self._as_of
         for report, rid in zip(reports, ids):
+            # Exact type first: a plain str id costs one test.
+            if type(rid) is not str and rid is not None and not isinstance(rid, str):
+                raise MprosError(
+                    f"the report id at batch position {seq - self._next_seq} "
+                    f"is a {type(rid).__name__}, not a string or None"
+                )
             if report.timestamp > as_of:
                 as_of = report.timestamp
             rs, rids, seqs = per[self.layout.shard_of(report.sensed_object_id)]

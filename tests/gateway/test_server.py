@@ -249,6 +249,48 @@ def test_bulk_post_writes_through_router(http_fleet):
     assert err.value.code == 400
 
 
+@pytest.mark.parametrize("report_ids", [
+    7,
+    [[1]],
+    [{"a": 1}],
+    "dc:x#1",
+    ["dc:x#1", "dc:x#2", "dc:x#3"],
+], ids=["int", "nested-list", "object", "string", "three-for-two"])
+def test_malformed_report_ids_are_a_400_with_nothing_written(http_fleet, report_ids):
+    """``reportIds`` must be absent, null, or one string-or-null per
+    report: any other shape is the client's error, answered before the
+    router stamps, routes or writes anything."""
+    fleet, gateway, base = http_fleet
+    _, pdme, reports, _ = fleet
+    before = (pdme.report_count, pdme.intake_watermark, pdme.as_of)
+    fresh = [r.with_timestamp(99999.0 + i) for i, r in enumerate(reports[:2])]
+    body = json.dumps(
+        {"reports": [encode_report(r) for r in fresh], "reportIds": report_ids}
+    ).encode()
+    req = urllib.request.Request(base + "/reports", data=body, method="POST")
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(req)
+    assert err.value.code == 400
+    assert "reportIds" in json.loads(err.value.read())["error"]
+    assert (pdme.report_count, pdme.intake_watermark, pdme.as_of) == before
+    assert _get(base, "/stats")[0] == 200
+
+
+@pytest.mark.parametrize("reports", ["abc", [1], {"a": 1}, None])
+def test_reports_that_are_not_a_list_of_objects_are_a_400(http_fleet, reports):
+    """Each entry of ``reports`` must be a JSON object: anything else is
+    a 400, not a dropped connection."""
+    fleet, _, base = http_fleet
+    _, pdme, _, _ = fleet
+    before = (pdme.report_count, pdme.intake_watermark)
+    body = json.dumps({"reports": reports}).encode()
+    req = urllib.request.Request(base + "/reports", data=body, method="POST")
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(req)
+    assert err.value.code == 400
+    assert (pdme.report_count, pdme.intake_watermark) == before
+
+
 @pytest.mark.parametrize("content_length", ["abc", "-1", "1.5", ""])
 def test_bad_content_length_is_a_400(http_fleet, content_length):
     _, _, base = http_fleet

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import MprosError
-from repro.pdme.shard import ShardLayout
+from repro.pdme.shard import ShardedPdme, ShardLayout
 
 keys = st.text(min_size=1, max_size=40)
 
@@ -32,6 +32,35 @@ def test_every_key_maps_to_exactly_one_valid_shard(key, n):
     assert ShardLayout(n).shard_of(key) == shard
     # Deterministic per call.
     assert layout.shard_of(key) == shard
+
+
+@given(st.lists(keys, max_size=30), st.integers(min_value=1, max_value=8))
+@settings(max_examples=100, deadline=None)
+def test_memoized_routing_equals_a_fresh_layout_and_holds_one_entry_per_key(batch, n):
+    layout = ShardLayout(n)
+    first = [layout.shard_of(k) for k in batch]
+    again = [layout.shard_of(k) for k in reversed(batch)]
+    assert first == [ShardLayout(n).shard_of(k) for k in batch]
+    assert again == first[::-1]
+    assert len(layout._memo) == len(set(batch))
+
+
+def test_rebalance_routes_through_a_new_layout_with_its_own_memo():
+    from repro.pdme.demo import demo_reports
+
+    reports, ids = demo_reports(quick=True)
+    pdme = ShardedPdme(2)
+    pdme.submit_batch(reports, ids)
+    old = pdme.layout
+    objects = {r.sensed_object_id for r in reports}
+    assert set(old._memo) == objects
+    pdme.rebalance(3)
+    assert pdme.layout is not old and pdme.layout.n_shards == 3
+    assert set(pdme.layout._memo) == objects
+    assert all(
+        pdme.layout.shard_of(k) == ShardLayout(3).shard_of(k) for k in objects
+    )
+    pdme.close()
 
 
 @given(keys, st.integers(min_value=1, max_value=7))

@@ -169,3 +169,27 @@ def test_router_validates_geometry_and_id_lengths(workload):
     with pytest.raises(MprosError):
         pdme.rebalance(3, store_paths=[":memory:"])
     pdme.close()
+
+
+@pytest.mark.parametrize("bad_id", [["not", "an", "id"], 7, 1.5, b"dc:0#1"])
+def test_router_refuses_a_non_string_id_before_publishing_anything(
+    tmp_path, workload, bad_id
+):
+    """A report id that is neither a string nor None is refused with
+    ``MprosError`` before the batch is stamped, routed or written: the
+    fused documents' evaluation time and the read-cache watermark stay
+    where they were."""
+    reports, ids = workload
+    pdme = file_backed(tmp_path, 2)
+    pdme.submit_batch(reports[:10], ids[:10])
+    before = (pdme.as_of, pdme.intake_watermark, [w.report_count for w in pdme.workers])
+    # The bad id comes last, after reports that would move ``as_of``.
+    batch = reports[10:14]
+    with pytest.raises(MprosError, match="not a string or None"):
+        pdme.submit_batch(batch, list(ids[10:13]) + [bad_id])
+    after = (pdme.as_of, pdme.intake_watermark, [w.report_count for w in pdme.workers])
+    assert after == before
+    assert max(r.timestamp for r in batch) > before[0]
+    # The router still takes the same batch with valid ids.
+    assert pdme.submit_batch(batch, ids[10:14]) == 4
+    pdme.close()
