@@ -30,7 +30,7 @@ def test_end_to_end_hour(benchmark):
         return system
 
     system = benchmark.pedantic(scenario, rounds=3, iterations=1)
-    reports = system.model.all_reports()
+    reports = system.pdme.router.workers[0].store.all_reports()
     assert reports, "no reports crossed the pipeline"
     conditions = {r.machine_condition_id for r in reports}
     assert "mc:motor-imbalance" in conditions

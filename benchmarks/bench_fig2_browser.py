@@ -45,7 +45,7 @@ def _fig2_pdme():
 def test_fig2_screen_render(benchmark):
     """Render the populated machine screen."""
     model, pdme, motor = _fig2_pdme()
-    screen = benchmark(render_machine_screen, model, pdme.engine, motor, 10.0)
+    screen = benchmark(render_machine_screen, pdme, motor, 10.0)
     assert "6 report(s) from 4 knowledge source(s)" in screen
     assert "Fused failure predictions" in screen
     for group in ("[rotating-mechanical]", "[electrical]", "[lubricant]"):
@@ -80,7 +80,7 @@ def test_live_update_rate(benchmark):
                 timestamp=10.0 + counter["n"],
             )
         )
-        render_machine_screen(model, pdme.engine, motor, now=10.0 + counter["n"])
+        render_machine_screen(pdme, motor, now=10.0 + counter["n"])
 
     benchmark(one_update)
     benchmark.extra_info["updates_per_second"] = f"{1.0 / mean_seconds(benchmark):,.0f}"

@@ -28,7 +28,7 @@ def main() -> None:
     system.inject_fault(motor, seeded(FaultKind.REFRIGERANT_LEAK, onset=0.0, severity=0.3))
     system.run(hours=1.0)
 
-    reports = system.model.reports_for(motor)
+    reports = system.pdme.router.reports_for(motor)
     sbfr_calls = [r for r in reports if r.knowledge_source_id == "ks:sbfr"]
     print(f"after 1 h: {len(reports)} report(s); "
           f"{len(sbfr_calls)} from the stock SBFR watches "
@@ -59,7 +59,7 @@ def main() -> None:
 
     print("\nRunning another hour with the closer-look machine in place...")
     system.run(hours=1.0)
-    closer = [r for r in system.model.reports_for(motor)
+    closer = [r for r in system.pdme.router.reports_for(motor)
               if "closer-look" in r.explanation]
     print(f"  closer-look confirmations: {len(closer)}")
     if closer:

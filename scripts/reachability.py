@@ -53,7 +53,7 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("verify", "--all-machines"),
     ("verify", "--lint", str(PACKAGE)),
     ("analyze", str(PACKAGE), "--no-cache"),
-    ("serve", "--quick", "--port", "0", "--max-requests", "7"),
+    ("serve", "--quick", "--port", "0", "--max-requests", "8"),
 )
 
 #: Seconds one command may run before it counts as failed.
@@ -125,6 +125,7 @@ def _serve_requests(proc: subprocess.Popen) -> None:
 
     obj = get("/objects")["items"][0]["id"]
     get(f"/objects/{obj}/health")
+    get(f"/objects/{obj}/measurements")
     get("/alarms")
     get("/fleet/health")
     cursor = get("/reports?limit=20")["nextCursor"]

@@ -439,15 +439,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         store_dir = Path(args.store_dir) if args.store_dir else Path(tmp)
         store_dir.mkdir(parents=True, exist_ok=True)
+        model = ShipModel()
+        for oid in sorted({r.sensed_object_id for r in reports}):
+            model.create("rotating-machine", id=oid, name=oid)
         pdme = ShardedPdme(
             args.shards,
             store_paths=[
                 store_dir / f"shard-{i}.sqlite" for i in range(args.shards)
             ],
+            model=model,
         )
-        model = ShipModel()
-        for oid in sorted({r.sensed_object_id for r in reports}):
-            model.create("rotating-machine", id=oid, name=oid)
         written = pdme.submit_batch(reports, report_ids)
         gateway = gateway_for_sharded(
             model,

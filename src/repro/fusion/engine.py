@@ -10,8 +10,8 @@ Follows the paper's general format:
 
 The engine is deliberately decoupled from the OOSM type: it consumes
 :class:`~repro.protocol.report.FailurePredictionReport` objects pushed
-at it (by the OOSM event bridge in :mod:`repro.pdme.executive`, by
-tests, or by anything else) and keeps the fused *state* — step 4's
+at it (by a shard worker of :mod:`repro.pdme.shard`, by tests, or by
+anything else) and keeps the fused *state* — step 4's
 conclusions are read from :attr:`KnowledgeFusionEngine.diagnostic`,
 :attr:`~KnowledgeFusionEngine.prognostic` and
 :meth:`~KnowledgeFusionEngine.fused_snapshot` when a display or the
@@ -24,7 +24,7 @@ out-of-order handling in the prognostic path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection
+from typing import Callable, Collection
 
 from repro.common.errors import MprosError
 from repro.common.ids import ObjectId
@@ -121,36 +121,25 @@ class KnowledgeFusionEngine:
             return False
         return True
 
-    def ingest_batch(self, reports: list[FailurePredictionReport]) -> None:
+    def ingest_batch(
+        self,
+        reports: list[FailurePredictionReport],
+        on_fused: Callable[[FailurePredictionReport], None] | None = None,
+    ) -> None:
         """Fuse a batch of reports in order; rejected ones are skipped.
 
         Semantically identical to calling :meth:`ingest` per report —
         the fused state is incremental either way — but gives callers
         (a shard worker's per-batch drain) one call per batch.
+        ``on_fused`` is called with each report that fused, right after
+        it did: the state it reads then reflects that report and no
+        later one.
         """
         for report in reports:
-            self.ingest(report)
+            if self.ingest(report) and on_fused is not None:
+                on_fused(report)
 
     # -- convenience queries ----------------------------------------------
-    @property
-    def max_seen_time(self) -> float:
-        """Latest report timestamp ingested so far (fusion "now")."""
-        return self._max_seen_time
-
-    @property
-    def intake_watermark(self) -> int:
-        """Monotone count of reports offered to this engine.
-
-        Two snapshot requests at equal ``(as_of, intake_watermark)``
-        are guaranteed equal — the key the gateway's versioned snapshot
-        cache uses.  Rejected reports still advance the watermark
-        (cheaper than proving a reject changed nothing, and a spurious
-        cache miss is only a wasted recompute).  A report counts only
-        once it is fused, so a reader holding the new watermark never
-        reads the state from before it.
-        """
-        return self.stats.ingested
-
     def suspects(self, threshold: float = 0.5):
         """Delegates to :meth:`DiagnosticFusion.suspects`."""
         return self.diagnostic.suspects(threshold)

@@ -87,6 +87,14 @@ class ReadReplica:
         )
         return [row for _, row in list(merged)[:limit]]
 
+    def object_payloads(self, sensed_object_id: str) -> list[str]:
+        """The stored payloads about one object across all partitions,
+        in arrival order (ties break by shard position, as in
+        :meth:`page_after`)."""
+        per_shard = [r.object_rows(sensed_object_id) for r in self._readers()]
+        merged = heapq.merge(*per_shard, key=lambda row: (row[0], row[1]))
+        return [row[2] for row in merged]
+
     @property
     def count(self) -> int:
         """Committed reports visible across all partitions."""

@@ -1,4 +1,4 @@
-"""The fleet query gateway: a high-throughput read path over the OOSM.
+"""The fleet query gateway: a high-throughput read path over the PDME.
 
 The PDME exists to *serve* fused machinery-health knowledge ("the
 health of a system based on the health of a constituent part"), but
@@ -32,9 +32,11 @@ What it offers:
   single-report curve fills only its times into a kept text);
 * **keyset pagination** (:mod:`repro.gateway.pagination`): log pages
   seek on the ``(intake_seq, row)`` index, never OFFSET, and decode
-  each stored row once;
+  each stored row once; an object's measurement series is read from
+  the log too;
 * **push subscriptions** riding the OOSM event bus (§4.5: "without
-  the need to poll");
+  the need to poll"), on which a router built with the model
+  announces every report it wrote, once it is fused;
 * **bulk read/write**: bulk reads page the replica, bulk writes
   delegate to the owning PDME router (``submit_batch``) so the
   single-writer discipline of the partition logs is never bypassed.
@@ -54,7 +56,7 @@ import threading
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from repro.common.errors import GatewayError
+from repro.common.errors import GatewayError, OosmError
 from repro.common.ids import ObjectId
 from repro.gateway.cache import VersionedCache
 from repro.gateway.pagination import (
@@ -154,15 +156,15 @@ class FleetGateway:
     Parameters
     ----------
     model:
-        The OOSM holding entities/relationships and the retained
-        measurement series.
+        The OOSM holding entities and relationships; its bus carries
+        the reports subscriptions push.
     fused:
         The fused-state provider, the sharded router
         (:class:`~repro.pdme.shard.ShardedPdme`).  It publishes its
         ``as_of`` and ``intake_watermark`` only once a write is fused.
     replica:
-        The :class:`ReadReplica` report pages are read from, so log
-        reads never contend with ingest.
+        The :class:`ReadReplica` report pages and measurement series
+        are read from, so log reads never contend with ingest.
     writer:
         Optional bulk-write sink ``(reports, report_ids) -> int``.
         Pass the owning router's ``submit_batch`` — the gateway never
@@ -234,6 +236,11 @@ class FleetGateway:
             return _no_latency
         t0 = self._timer()
         return lambda: self._m_latency.observe(max(0.0, self._timer() - t0))
+
+    def _log(self) -> ReadReplica:
+        if self.replica is None:
+            raise GatewayError("no report log attached: pass replica= to read it")
+        return self.replica
 
     def _now(self) -> float:
         return float(self.fused.as_of)
@@ -354,26 +361,27 @@ class FleetGateway:
         after: str | None = None,
         limit: int | None = None,
     ) -> Page:
-        """The (severity, belief) series for one object, oldest first.
+        """The (severity, belief) series for one object, arrival order.
 
-        Backed by the OOSM's retained report list; the list is
-        append-only, so the positional key is stable and keyset pages
-        never skip or duplicate under concurrent posting.
+        Read from the report log through the replica; an object's
+        series only grows at its end, so the positional key is stable
+        and keyset pages never skip or duplicate under concurrent
+        posting.  Only the page's rows are decoded.
         """
         done = self._count("measurements")
         try:
             if object_id not in self.model:
                 raise GatewayError(f"no managed object {object_id!r}")
             size = clamp_limit(limit)
-            series = [
-                (f"{i:012d}", Measurement.from_report(r))
-                for i, r in enumerate(self.model.reports_for(object_id))
-            ]
+            series = list(enumerate(self._log().object_payloads(object_id)))
             page = page_sequence(
-                series, lambda pair: pair[0], decode_string_cursor(after), size
+                series, lambda row: f"{row[0]:012d}", decode_string_cursor(after), size
             )
             return Page(
-                items=tuple(m for _, m in page.items),
+                items=tuple(
+                    Measurement.from_report(_decode_row(payload))
+                    for _, payload in page.items
+                ),
                 next_cursor=page.next_cursor,
             )
         finally:
@@ -390,11 +398,7 @@ class FleetGateway:
         done = self._count("reports")
         try:
             size = clamp_limit(limit)
-            if self.replica is None:
-                raise GatewayError(
-                    "no report log attached: pass replica= to serve report pages"
-                )
-            rows = self.replica.page_after(decode_cursor(after), size)
+            rows = self._log().page_after(decode_cursor(after), size)
             decode = self._decode_row
             items = tuple(
                 Report(
@@ -569,7 +573,10 @@ class FleetGateway:
                     "submit_batch) to accept bulk writes"
                 )
             with self._write_lock:
-                written = int(self._writer(list(reports), report_ids))
+                try:
+                    written = int(self._writer(list(reports), report_ids))
+                except OosmError as exc:  # a report on an object not served
+                    raise GatewayError(str(exc)) from exc
             self._m_bulk_written.inc(written)
             return written
         finally:
@@ -594,7 +601,8 @@ def gateway_for_sharded(
     metrics: MetricsRegistry | None = None,
     timer: Callable[[], float] | None = None,
 ) -> FleetGateway:
-    """The gateway's one deployment: replica reads, router writes."""
+    """The gateway's one deployment: replica reads, router writes; a
+    router built with ``model`` announces what it writes to subscribers."""
     return FleetGateway(
         model,
         pdme,

@@ -3,11 +3,11 @@
 "An event model has been implemented for the OOSM, which allows client
 programs to be notified of changes to property or relationship values
 without the need to poll."  The original used OLE Automation events;
-here an in-process synchronous event bus plays that role.  The
-Knowledge Fusion component subscribes to :class:`ReportPosted` to
-"automatically process failure prediction reports as they are
-delivered to the OOSM"; the PDME browser subscribes to refresh its
-display.
+here an in-process synchronous event bus plays that role.  The PDME's
+router publishes :class:`ReportPosted` (or one
+:class:`ReportBatchPosted`) for every report it stored, once the
+report is fused — the "new data" message of §5.1 — and the gateway's
+push subscriptions ride it.
 """
 
 from __future__ import annotations
@@ -65,14 +65,14 @@ class EntityDeleted:
 
 @dataclass(frozen=True)
 class ReportPosted:
-    """A failure-prediction report was delivered to the OOSM."""
+    """A failure-prediction report was stored and fused by the PDME."""
 
     report: FailurePredictionReport
 
 
 @dataclass(frozen=True)
 class ReportBatchPosted:
-    """A batch of reports was delivered to the OOSM in one posting.
+    """A batch of reports was stored and fused in one posting.
 
     Published by :meth:`~repro.oosm.model.ShipModel.post_reports` when
     a batch subscriber exists; carries the reports in posting order so

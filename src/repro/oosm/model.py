@@ -4,8 +4,11 @@ Entities are objects with properties and relationships to other
 entities.  The :class:`ShipModel` is the §4.4 API: "functions to
 retrieve specific object instances, to view the values of properties,
 to update their properties and relationships, and to create and delete
-instances" — plus the report repository role ("It also serves as a
-repository of diagnostic conclusions").
+instances".  The model holds structure only: the report repository
+role ("It also serves as a repository of diagnostic conclusions") is
+the PDME's partition log (:mod:`repro.pdme.shard`), and the model's
+bus carries the post-fusion "new data" announcement of each report
+the log wrote (:meth:`ShipModel.post_report`).
 
 Relationship kinds used by the prototype (§4.2 names them "part-of,
 whole and refers-to" plus proximity and flow in §10.1):
@@ -90,18 +93,16 @@ class ShipModel:
         self,
         types: TypeRegistry | None = None,
         bus: EventBus | None = None,
-        materialize_reports: bool = False,
     ) -> None:
         self.types = types if types is not None else default_types()
         self.bus = bus if bus is not None else EventBus()
         self._entities: dict[ObjectId, Entity] = {}
         self._out: dict[tuple[ObjectId, str], set[ObjectId]] = {}
         self._in: dict[tuple[ObjectId, str], set[ObjectId]] = {}
-        self._reports: list[FailurePredictionReport] = []
         self._ids = IdAllocator()
         #: Monotone structural version: bumped on every mutation that
         #: changes what a query against this model could observe
-        #: (entities, properties, relationships, retained reports).
+        #: (entities, properties, relationships).
         #: Caches key derived views — the networkx export, gateway
         #: response documents — by this number: equal version, equal
         #: answer.
@@ -111,14 +112,6 @@ class ShipModel:
         #: key to ``(version, value)``; consumers must treat cached
         #: values as read-only.
         self.derived_cache: dict[Any, tuple[int, Any]] = {}
-        #: §4.2 lists "a failure prediction report" among the OOSM's
-        #: abstract objects.  When enabled, every posted report also
-        #: becomes a `failure-prediction-report` entity with a
-        #: refers-to edge to its sensed object — queryable through the
-        #: same graph APIs as everything else.  Off by default: long
-        #: runs accumulate thousands of reports and most installations
-        #: only need the list view.
-        self.materialize_reports = materialize_reports
 
     @property
     def version(self) -> int:
@@ -285,82 +278,43 @@ class ShipModel:
                     frontier.append(n)
         return out
 
-    # -- report repository (§4.1, §5.1 step 1) -------------------------------
-    def post_report(self, report: FailurePredictionReport) -> None:
-        """Deliver a failure-prediction report to the OOSM.
-
-        The report is retained (the OOSM is the "repository of
-        diagnostic conclusions") and a :class:`ReportPosted` event is
-        published — the "new data" message of §5.1 step 2.
-        """
+    # -- report announcements (§4.5, §5.1 step 2) ---------------------------
+    def check_sensed(self, report: FailurePredictionReport) -> None:
+        """Raise :class:`OosmError` unless the model holds the report's
+        sensed object."""
         if report.sensed_object_id not in self._entities:
             raise OosmError(
                 f"report references unknown sensed object {report.sensed_object_id!r}"
             )
-        self._reports.append(report)
-        self._bump()
-        if self.materialize_reports:
-            entity = self.create(
-                "failure-prediction-report",
-                knowledge_source_id=report.knowledge_source_id,
-                machine_condition_id=report.machine_condition_id,
-                severity=report.severity,
-                belief=report.belief,
-                timestamp=report.timestamp,
-            )
-            self.relate(entity.id, "refers-to", report.sensed_object_id)
+
+    def post_report(self, report: FailurePredictionReport) -> None:
+        """Announce one report the PDME has stored and fused.
+
+        Publishes :class:`ReportPosted` — the "new data" message of
+        §5.1 step 2 — and retains nothing: the report lives in the
+        PDME's partition log.
+        """
+        self.check_sensed(report)
         self.bus.publish(ReportPosted(report))
 
     def post_reports(self, reports: list[FailurePredictionReport]) -> None:
-        """Deliver a batch of reports to the OOSM in one posting.
+        """Announce a batch of stored and fused reports in one posting.
 
-        Validation of every sensed object happens up front (all-or-
-        nothing: a bad report rejects the whole batch before anything
-        is retained).  If a :class:`ReportBatchPosted` subscriber
-        exists, one batch event is published; otherwise each report is
-        announced through :class:`ReportPosted` exactly as if posted
-        one at a time — subscribers see the same reports in the same
-        order either way.
+        Every sensed object is checked before anything is announced.
+        If a :class:`ReportBatchPosted` subscriber exists, one batch
+        event is published; otherwise each report is announced through
+        :class:`ReportPosted` exactly as if posted one at a time —
+        subscribers see the same reports in the same order either way.
         """
         for report in reports:
-            if report.sensed_object_id not in self._entities:
-                raise OosmError(
-                    f"report references unknown sensed object "
-                    f"{report.sensed_object_id!r}"
-                )
+            self.check_sensed(report)
         if not reports:
             return
-        self._reports.extend(reports)
-        self._bump()
-        if self.materialize_reports:
-            for report in reports:
-                entity = self.create(
-                    "failure-prediction-report",
-                    knowledge_source_id=report.knowledge_source_id,
-                    machine_condition_id=report.machine_condition_id,
-                    severity=report.severity,
-                    belief=report.belief,
-                    timestamp=report.timestamp,
-                )
-                self.relate(entity.id, "refers-to", report.sensed_object_id)
         if self.bus.handler_count(ReportBatchPosted) > 0:
             self.bus.publish(ReportBatchPosted(tuple(reports)))
         else:
             for report in reports:
                 self.bus.publish(ReportPosted(report))
-
-    def reports_for(self, sensed_object_id: ObjectId) -> list[FailurePredictionReport]:
-        """All retained reports about one sensed object, oldest first."""
-        return [r for r in self._reports if r.sensed_object_id == sensed_object_id]
-
-    @property
-    def report_count(self) -> int:
-        """Number of retained reports."""
-        return len(self._reports)
-
-    def all_reports(self) -> list[FailurePredictionReport]:
-        """All retained reports, oldest first (copy)."""
-        return list(self._reports)
 
 
 def _check_kind(kind: str) -> None:

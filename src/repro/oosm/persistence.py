@@ -3,16 +3,17 @@
 "Object types are mapped to tables and properties and relationships are
 mapped to columns and helper tables."  We keep the same shape in
 sqlite3: an entity table, a property helper table (one row per
-property), a relationship helper table and a report table.  As in the
-paper, persistence is "entirely managed in the background": callers use
+property) and a relationship helper table.  As in the paper,
+persistence is "entirely managed in the background": callers use
 :func:`save_model` / :func:`load_model` and never see SQL.
 
-For fleet-scale report volume the full-rewrite :func:`save_model` path
-is the wrong shape; :class:`ReportStore` is the incremental append-only
-report log.  Its :meth:`ReportStore.ingest_batch` coalesces a whole
-batch into a single transaction (one ``executemany``, one commit) and
-performs the duplicate-id check against an index loaded once at open —
-not one query per report.
+The model holds structure only; reports live in :class:`ReportStore`,
+the incremental append-only report log each PDME shard owns.  Its
+:meth:`ReportStore.ingest_batch` coalesces a whole batch into a single
+transaction (one ``executemany``, one commit) and performs the
+duplicate-id check against an index loaded once at open — not one
+query per report.  Each row carries its sensed object, so per-object
+history is read from the log (:meth:`ReportStore.reports_for`).
 """
 
 from __future__ import annotations
@@ -52,10 +53,6 @@ CREATE TABLE IF NOT EXISTS relationships (
     target_id TEXT NOT NULL REFERENCES entities(id),
     PRIMARY KEY (kind, source_id, target_id)
 );
-CREATE TABLE IF NOT EXISTS reports (
-    seq     INTEGER PRIMARY KEY AUTOINCREMENT,
-    payload TEXT NOT NULL             -- JSON-encoded wire form
-);
 """
 
 
@@ -80,27 +77,26 @@ def load_payload(payload: str) -> dict:
     :class:`OosmError`.
     """
     try:
-        value = json.loads(
-            payload, parse_float=_finite_float, parse_constant=_reject_constant
-        )
+        value = json.loads(payload, parse_float=_finite_float, parse_constant=_reject_constant)
     except (TypeError, ValueError) as exc:
         raise OosmError(f"stored report is not finite JSON: {exc}") from exc
     if not isinstance(value, dict):
-        raise OosmError(
-            f"stored report is a JSON {type(value).__name__}, not an object"
-        )
+        raise OosmError(f"stored report is a JSON {type(value).__name__}, not an object")
     return value
 
 
 def save_model(model: ShipModel, path: str | Path) -> None:
-    """Persist a ship model (entities, properties, relationships,
-    retained reports) to a sqlite database file, replacing previous
-    contents."""
+    """Persist a ship model's structure (entity types, entities,
+    properties, relationships) to a sqlite database file, replacing
+    previous contents.  Reports are not model state: they live in the
+    PDME's report log."""
     conn = sqlite3.connect(str(path))
     try:
         with conn:
             conn.executescript(_SCHEMA)
-            conn.execute("DELETE FROM reports")
+            # Files saved before the model held structure only also
+            # carry a report table; a save replaces all of it.
+            conn.execute("DROP TABLE IF EXISTS reports")
             conn.execute("DELETE FROM relationships")
             conn.execute("DELETE FROM properties")
             conn.execute("DELETE FROM entities")
@@ -132,10 +128,6 @@ def save_model(model: ShipModel, path: str | Path) -> None:
                 "INSERT INTO relationships (kind, source_id, target_id) VALUES (?, ?, ?)",
                 [(r.kind, r.source_id, r.target_id) for r in model.relationships()],
             )
-            conn.executemany(
-                "INSERT INTO reports (payload) VALUES (?)",
-                [(report_text(r),) for r in model.all_reports()],
-            )
     finally:
         conn.close()
 
@@ -144,7 +136,10 @@ def load_model(path: str | Path) -> ShipModel:
     """Reload a ship model saved by :func:`save_model`.
 
     The returned model has a fresh event bus (subscriptions are not
-    persisted state).
+    persisted state).  A file saved while the model still retained
+    reports keeps them in a ``reports`` table; the load moves them into
+    the file's report log, read by ``ReportStore(path)``, and refuses
+    the file, changing nothing, if any of those rows is corrupt.
     """
     p = Path(path)
     if not p.exists():
@@ -185,8 +180,19 @@ def load_model(path: str | Path) -> ShipModel:
             "SELECT kind, source_id, target_id FROM relationships"
         ):
             model.relate(src, kind, dst)
-        for (payload,) in conn.execute("SELECT payload FROM reports ORDER BY seq"):
-            model.post_report(decode_report(load_payload(payload)))
+        legacy_sql = "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'reports'"
+        if conn.execute(legacy_sql).fetchone() is not None:
+            # Parse every row before writing; then let ReportStore
+            # create or upgrade the file's log.
+            rows = conn.execute("SELECT payload FROM reports ORDER BY seq").fetchall()
+            legacy = [decode_report(load_payload(text)) for (text,) in rows]
+            ReportStore(p).close()
+            with conn:
+                conn.executemany(
+                    "INSERT INTO report_log (payload, sensed_object_id) VALUES (?, ?)",
+                    [(report_text(r), r.sensed_object_id) for r in legacy],
+                )
+                conn.execute("DROP TABLE reports")
         return model
     finally:
         conn.close()
@@ -194,10 +200,11 @@ def load_model(path: str | Path) -> ShipModel:
 
 _REPORT_LOG_SCHEMA = """
 CREATE TABLE IF NOT EXISTS report_log (
-    seq        INTEGER PRIMARY KEY AUTOINCREMENT,
-    report_id  TEXT UNIQUE,              -- NULL for id-less senders
-    payload    TEXT NOT NULL,            -- JSON-encoded wire form
-    intake_seq INTEGER                   -- router-assigned global order
+    seq              INTEGER PRIMARY KEY AUTOINCREMENT,
+    report_id        TEXT UNIQUE,        -- NULL for id-less senders
+    payload          TEXT NOT NULL,      -- JSON-encoded wire form
+    intake_seq       INTEGER,            -- router-assigned global order
+    sensed_object_id TEXT                -- the payload's, for object reads
 );
 """
 
@@ -222,6 +229,15 @@ _PAGE_SQL = (
 )
 
 
+#: One object's ``(pagination key..., payload)`` rows in arrival order,
+#: by a scan: an index on the column would tax every intake write to
+#: speed a read that is rare.
+_OBJECT_SQL = (
+    "SELECT IFNULL(intake_seq, -1), seq, payload FROM report_log "
+    "WHERE sensed_object_id = ? ORDER BY IFNULL(intake_seq, -1), seq"
+)
+
+
 def _page_after(
     conn: sqlite3.Connection, after: tuple[int, int] | None, limit: int
 ) -> list[PageRow]:
@@ -229,10 +245,7 @@ def _page_after(
     if limit < 1:
         raise OosmError(f"page limit must be positive, got {limit}")
     key, seq = after if after is not None else (-(2**62), -1)
-    return [
-        (row[0], row[1], row[2], row[3])
-        for row in conn.execute(_PAGE_SQL, (key, key, seq, limit))
-    ]
+    return conn.execute(_PAGE_SQL, (key, key, seq, limit)).fetchall()
 
 
 class ReportStore:
@@ -274,6 +287,15 @@ class ReportStore:
             self._conn.execute(
                 "ALTER TABLE report_log ADD COLUMN intake_seq INTEGER"
             )
+        # Logs from before per-object reads lack the sensed object
+        # column; add it and fill it from each stored payload.
+        if "sensed_object_id" not in cols:
+            rows = self._conn.execute("SELECT seq, payload FROM report_log").fetchall()
+            self._conn.execute("ALTER TABLE report_log ADD COLUMN sensed_object_id TEXT")
+            self._conn.executemany(
+                "UPDATE report_log SET sensed_object_id = ? WHERE seq = ?",
+                [(load_payload(p).get("sensed_object_id"), seq) for seq, p in rows],
+            )
         # The keyset index arrived with the gateway read path; creating
         # it here auto-upgrades pre-gateway logs on open, the same
         # pattern the intake_seq column upgrade uses.
@@ -287,25 +309,6 @@ class ReportStore:
         }
 
     # -- writes ----------------------------------------------------------
-    def ingest(
-        self, report: FailurePredictionReport, report_id: str | None = None
-    ) -> bool:
-        """Append one report; returns False if its id was already seen.
-
-        One transaction per call — the scalar ablation for
-        :meth:`ingest_batch`.
-        """
-        if report_id is not None and report_id in self._seen_ids:
-            return False
-        with self._conn:
-            self._conn.execute(
-                "INSERT INTO report_log (report_id, payload) VALUES (?, ?)",
-                (report_id, report_text(report)),
-            )
-        if report_id is not None:
-            self._seen_ids.add(report_id)
-        return True
-
     def ingest_batch(
         self,
         reports: Sequence[FailurePredictionReport],
@@ -317,7 +320,7 @@ class ReportStore:
         Duplicate ids (previously stored or repeated within the batch)
         are skipped.  Returns the positions in ``reports`` of the
         reports actually written, ascending.  The log contents are
-        byte-identical to calling :meth:`ingest` once per report in the
+        byte-identical to one single-report batch per report in the
         same order.
 
         ``intake_seqs`` optionally stamps each report with the global
@@ -336,7 +339,7 @@ class ReportStore:
             )
         # Single dedup pass against the in-memory index, then one
         # executemany inside one transaction: per-batch, not per-row.
-        rows: list[tuple[str | None, str, int | None]] = []
+        rows: list[tuple[str | None, str, int | None, str]] = []
         written: list[int] = []
         fresh_ids: set[str] = set()
         for i, (report, rid) in enumerate(zip(reports, report_ids)):
@@ -349,12 +352,14 @@ class ReportStore:
                 rid,
                 report_text(report),
                 intake_seqs[i] if intake_seqs is not None else None,
+                report.sensed_object_id,
             ))
         if rows:
             with self._conn:
                 self._conn.executemany(
-                    "INSERT INTO report_log (report_id, payload, intake_seq) "
-                    "VALUES (?, ?, ?)",
+                    "INSERT INTO report_log "
+                    "(report_id, payload, intake_seq, sensed_object_id) "
+                    "VALUES (?, ?, ?, ?)",
                     rows,
                 )
             self._seen_ids |= fresh_ids
@@ -363,21 +368,23 @@ class ReportStore:
     # -- reads -----------------------------------------------------------
     def all_reports(self) -> list[FailurePredictionReport]:
         """Every stored report in append order."""
+        return [report for _, _, report in self.rows()]
+
+    def reports_for(self, sensed_object_id: str) -> list[FailurePredictionReport]:
+        """Every stored report about one sensed object, arrival order
+        (the router's ``intake_seq``, then append order)."""
         return [
             decode_report(load_payload(payload))
-            for (payload,) in self._conn.execute(
-                "SELECT payload FROM report_log ORDER BY seq"
-            )
+            for _, _, payload in self._conn.execute(_OBJECT_SQL, (sensed_object_id,))
         ]
 
     def rows(self) -> list[tuple[int | None, str | None, FailurePredictionReport]]:
         """Every stored ``(intake_seq, report_id, report)`` in append
         order — the shard migration/merge view of the partition."""
+        sql = "SELECT intake_seq, report_id, payload FROM report_log ORDER BY seq"
         return [
             (seq, rid, decode_report(load_payload(payload)))
-            for seq, rid, payload in self._conn.execute(
-                "SELECT intake_seq, report_id, payload FROM report_log ORDER BY seq"
-            )
+            for seq, rid, payload in self._conn.execute(sql)
         ]
 
     def page_after(
@@ -395,23 +402,10 @@ class ReportStore:
         """
         return _page_after(self._conn, after, limit)
 
-    def last_key(self) -> tuple[int, int] | None:
-        """The largest pagination key currently in the log, or None.
-
-        A reader that wants "everything present now, then stop" pages
-        until it passes this watermark.
-        """
-        row = self._conn.execute(
-            "SELECT IFNULL(intake_seq, -1), seq FROM report_log "
-            "ORDER BY IFNULL(intake_seq, -1) DESC, seq DESC LIMIT 1"
-        ).fetchone()
-        return (int(row[0]), int(row[1])) if row is not None else None
-
     @property
     def count(self) -> int:
         """Number of stored reports."""
-        row = self._conn.execute("SELECT COUNT(*) FROM report_log").fetchone()
-        return int(row[0])
+        return int(self._conn.execute("SELECT COUNT(*) FROM report_log").fetchone()[0])
 
     def close(self) -> None:
         """Close the underlying database connection."""
@@ -445,11 +439,15 @@ class ReportLogReader:
         """Same keyset contract as :meth:`ReportStore.page_after`."""
         return _page_after(self._conn, after, limit)
 
+    def object_rows(self, sensed_object_id: str) -> list[tuple[int, int, str]]:
+        """One object's ``(IFNULL(intake_seq, -1), seq, payload)`` rows,
+        arrival order."""
+        return self._conn.execute(_OBJECT_SQL, (sensed_object_id,)).fetchall()
+
     @property
     def count(self) -> int:
         """Committed reports visible to this reader right now."""
-        row = self._conn.execute("SELECT COUNT(*) FROM report_log").fetchone()
-        return int(row[0])
+        return int(self._conn.execute("SELECT COUNT(*) FROM report_log").fetchone()[0])
 
     def close(self) -> None:
         self._conn.close()

@@ -7,20 +7,22 @@ reinforcing.  After these reports are processed by the Knowledge Fusion
 component, the predictions of failure for each machine condition group
 are shown at the bottom of the screen."
 
-The renderer reads the OOSM report repository (top half) and the KF
-engine state (bottom half), exactly the two data sources the original
-screen bound to.
+The renderer reads the PDME's report log (top half) and the KF engine
+state (bottom half), exactly the two data sources the original screen
+bound to.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from repro.common.ids import ObjectId
 from repro.common.units import SECONDS_PER_DAY
-from repro.fusion.engine import KnowledgeFusionEngine
-from repro.oosm.model import ShipModel
 from repro.pdme.priorities import PriorityEntry
+
+if TYPE_CHECKING:
+    from repro.pdme.executive import PdmeExecutive
 
 _RULE = "-" * 78
 
@@ -37,8 +39,7 @@ def _fmt_ttf(seconds: float) -> str:
 
 
 def render_machine_screen(
-    model: ShipModel,
-    engine: KnowledgeFusionEngine,
+    pdme: PdmeExecutive,
     sensed_object_id: ObjectId,
     now: float | None = None,
 ) -> str:
@@ -49,8 +50,9 @@ def render_machine_screen(
     group — beliefs, the group's "unknown" mass, and the fused
     time-to-failure where prognostics exist.
     """
+    engine = pdme.engine
     try:
-        name = model.get(sensed_object_id).name
+        name = pdme.model.get(sensed_object_id).name
     except Exception:
         name = sensed_object_id
     lines = [
@@ -60,7 +62,7 @@ def render_machine_screen(
         "Condition reports received:",
         f"  {'time':>8}  {'source':<10} {'condition':<32} {'sev':>5} {'bel':>5}",
     ]
-    reports = model.reports_for(sensed_object_id)
+    reports = pdme.router.reports_for(sensed_object_id)
     if not reports:
         lines.append("  (none)")
     for r in reports:

@@ -1,14 +1,19 @@
-"""The PDME executive: report intake, OOSM posting, KF dispatch.
+"""The PDME executive: the DC uplink's RPC front and report admission.
 
 Implements the §5.1 loop end to end:
 
-1. Reports arriving (over RPC or locally) are posted in the OOSM.
-2. The OOSM's :class:`~repro.oosm.events.ReportPosted` event is the
-   "new data" message.
-3. The subscribed Knowledge Fusion engine fuses diagnostics and
-   prognostics.
-4. The fused state is what the browser and priority list read; each
-   fused report also advances the §10.1 temporal view.
+1. Reports arriving over RPC (or submitted locally) are admitted:
+   malformed entries, reports about unknown objects and id-less
+   resends are refused or absorbed here.
+2. Admitted reports land in a one-shard
+   :class:`~repro.pdme.shard.ShardedPdme`, whose partition log is the
+   report repository (§4) and decides which ids are duplicates; the
+   shard's Knowledge Fusion engine fuses diagnostics and prognostics,
+   and each fused report advances the §10.1 temporal view.
+3. The router then posts every report it wrote to the OOSM, whose
+   :class:`~repro.oosm.events.ReportPosted` event is the "new data"
+   message clients subscribe to.
+4. The fused state is what the browser and priority list read.
 """
 
 from __future__ import annotations
@@ -16,16 +21,14 @@ from __future__ import annotations
 from typing import Any
 
 from repro.common.clock import Clock
-from repro.common.errors import MprosError, ProtocolError
-from repro.common.ids import ObjectId
+from repro.common.errors import MprosError
 from repro.fusion.engine import KnowledgeFusionEngine
-from repro.fusion.groups import GroupRegistry, default_chiller_groups
 from repro.fusion.temporal import TemporalAnalyzer
 from repro.netsim.rpc import RpcEndpoint
 from repro.obs.registry import MetricsRegistry, default_registry
-from repro.oosm.events import ReportBatchPosted, ReportPosted
 from repro.oosm.model import ShipModel
 from repro.pdme.priorities import PriorityEntry, prioritize
+from repro.pdme.shard import ShardedPdme
 from repro.protocol.report import FailurePredictionReport
 from repro.protocol.wire import decode_report
 
@@ -36,13 +39,11 @@ class PdmeExecutive:
     Parameters
     ----------
     model:
-        The OOSM instance this PDME owns.
-    registry:
-        Logical failure groups (defaults to the chiller set).
-    believability:
-        Optional per-source discount factors for diagnostic fusion.
+        The OOSM instance this PDME serves; reports about objects it
+        does not hold are refused, and every stored report is
+        announced on its bus.
     clock:
-        Optional simulated clock; when present, every accepted report's
+        Optional simulated clock; when present, every stored report's
         age (intake time minus report timestamp) is observed into the
         ``pdme.intake.report_age_seconds`` histogram — live traffic
         lands near zero, catch-up replays show the outage they crossed.
@@ -51,63 +52,63 @@ class PdmeExecutive:
     def __init__(
         self,
         model: ShipModel,
-        registry: GroupRegistry | None = None,
-        believability: dict[ObjectId, float] | None = None,
         metrics: MetricsRegistry | None = None,
         clock: Clock | None = None,
     ) -> None:
         self.model = model
         self.clock = clock
         self.metrics = metrics if metrics is not None else default_registry()
-        self.engine = KnowledgeFusionEngine(
-            registry if registry is not None else default_chiller_groups(),
-            believability=believability,
-            metrics=self.metrics,
-        )
+        #: The report store and fusion: one in-memory partition with
+        #: the chiller groups.
+        self.router = ShardedPdme(1, model=model, metrics=self.metrics)
         self._m_accepted = self.metrics.counter("pdme.reports_accepted")
         self._m_duplicates = self.metrics.counter("pdme.duplicates_dropped")
         self._m_refused = self.metrics.counter("pdme.reports_refused")
         self._m_conclusions = self.metrics.counter("pdme.conclusions")
         self._m_intake_age = self.metrics.histogram("pdme.intake.report_age_seconds")
-        self.intake_errors: list[str] = []
         self.duplicates_dropped = 0
         self._seen_fingerprints: set[int] = set()
-        self._seen_report_ids: set[str] = set()
         #: §10.1 temporal reasoning: fused-belief trajectories per
         #: (object, condition), fed from every fused diagnostic report.
         self.temporal = TemporalAnalyzer()
-        # §5.1 steps 2-3: KF subscribes to OOSM "new data" events.
-        model.bus.subscribe(ReportPosted, self._on_report_posted)
-        model.bus.subscribe(ReportBatchPosted, self._on_report_batch_posted)
+
+    @property
+    def engine(self) -> KnowledgeFusionEngine:
+        """The fusion engine of the router's one shard."""
+        return self.router.workers[0].engine
 
     # -- intake -----------------------------------------------------------
-    def _observe_intake_age(self, report: FailurePredictionReport) -> None:
-        if self.clock is not None:
-            self._m_intake_age.observe(
-                max(0.0, self.clock.now() - report.timestamp)
-            )
+    def submit(
+        self, report: FailurePredictionReport, report_id: str | None = None
+    ) -> int:
+        """Store and fuse one report; returns 1 if written, 0 if its id
+        was already stored."""
+        return len(self.submit_batch([report], [report_id]))
 
-    def submit(self, report: FailurePredictionReport) -> None:
-        """Post one report into the OOSM (which triggers fusion)."""
-        self._observe_intake_age(report)
-        self.model.post_report(report)
+    def submit_batch(
+        self,
+        reports: list[FailurePredictionReport],
+        report_ids: list[str | None] | None = None,
+    ) -> list[int]:
+        """Store and fuse a batch in one write; returns the positions of
+        the reports written.  The rest repeat a stored id and count as
+        duplicates."""
+        written = self.router.write_batch(reports, report_ids, self._observe_fused)
+        for i in written:
+            self._m_accepted.inc()
+            if self.clock is not None:
+                self._m_intake_age.observe(
+                    max(0.0, self.clock.now() - reports[i].timestamp)
+                )
+        dropped = len(reports) - len(written)
+        if dropped:
+            self.duplicates_dropped += dropped
+            self._m_duplicates.inc(dropped)
+        return written
 
-    def submit_batch(self, reports: list[FailurePredictionReport]) -> None:
-        """Post a batch of reports into the OOSM in one posting."""
-        for report in reports:
-            self._observe_intake_age(report)
-        self.model.post_reports(reports)
-
-    def _on_report_posted(self, event: ReportPosted) -> None:
-        self._fuse(event.report)
-
-    def _on_report_batch_posted(self, event: ReportBatchPosted) -> None:
-        for report in event.reports:
-            self._fuse(report)
-
-    def _fuse(self, report: FailurePredictionReport) -> None:
-        if not self.engine.ingest(report):
-            return
+    def _observe_fused(self, report: FailurePredictionReport) -> None:
+        """Right after ``report`` fused: count it, and feed the temporal
+        view the pair's belief as this report left it."""
         self._m_conclusions.inc()
         if report.belief > 0.0:
             belief = self.engine.diagnostic.belief(
@@ -132,43 +133,35 @@ class PdmeExecutive:
 
     def _admit(
         self, entry: Any
-    ) -> tuple[dict[str, Any], FailurePredictionReport | None]:
-        """One wire entry's intake decision: its reply, plus the decoded
-        report when it is to be posted.
+    ) -> tuple[dict[str, Any], FailurePredictionReport | None, str | None]:
+        """One wire entry's admission decision: its reply, plus the
+        decoded report and its id when it is to be stored.
 
         At-least-once delivery from the DC uplinks means retried reports
         can arrive more than once (a lost ack, not a lost report) —
         including replays from a crashed-and-restarted DC whose acks
         died with it.  Intake is idempotent: duplicates are positively
         acknowledged but not re-fused.  The durable uplink-assigned
-        ``report_id`` is authoritative; the content fingerprint covers
-        id-less senders.  An accepted entry's keys are recorded at once,
-        so a later copy in the same batch is a duplicate too.
+        ``report_id`` is authoritative, and the partition log decides
+        on it when the report is stored; the content fingerprint covers
+        id-less senders.  An admitted entry's fingerprint is recorded at
+        once, so a later id-less copy in the same batch is a duplicate.
         """
         if not isinstance(entry, dict):
-            return self._refuse("report must be a mapping"), None
+            return self._refuse("report must be a mapping"), None, None
         rid = entry.get("report_id")
         rid = rid if isinstance(rid, str) and rid else None
-        if rid is not None and rid in self._seen_report_ids:
-            return self._duplicate(), None
         try:
             report = decode_report(entry)
             fingerprint = self._fingerprint(report)
             if rid is None and fingerprint in self._seen_fingerprints:
-                return self._duplicate(), None
-            if report.sensed_object_id not in self.model:
-                raise ProtocolError(
-                    f"report references unknown sensed object "
-                    f"{report.sensed_object_id!r}"
-                )
-        except (ProtocolError, MprosError) as exc:
+                return self._duplicate(), None, None
+            self.model.check_sensed(report)
+        except MprosError as exc:
             # §5.1: inconsistent input is recorded, never fatal.
-            return self._refuse(str(exc)), None
+            return self._refuse(str(exc)), None, None
         self._seen_fingerprints.add(fingerprint)
-        if rid is not None:
-            self._seen_report_ids.add(rid)
-        self._m_accepted.inc()
-        return {"accepted": True}, report
+        return {"accepted": True}, report, rid
 
     def _duplicate(self) -> dict[str, Any]:
         self.duplicates_dropped += 1
@@ -176,7 +169,6 @@ class PdmeExecutive:
         return {"accepted": True, "duplicate": True}
 
     def _refuse(self, error: str) -> dict[str, Any]:
-        self.intake_errors.append(error)
         self._m_refused.inc()
         return {"accepted": False, "error": error}
 
@@ -192,36 +184,42 @@ class PdmeExecutive:
         ))
 
     def _rpc_post_report(self, payload: Any) -> dict[str, Any]:
-        reply, report = self._admit(payload)
-        if report is not None:
-            self.submit(report)
+        reply, report, rid = self._admit(payload)
+        if report is not None and not self.submit(report, rid):
+            return {"accepted": True, "duplicate": True}
         return reply
 
     def _rpc_post_report_batch(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Batched intake: one OOSM posting per batch.
+        """Batched intake: one store write per batch.
 
         Each entry gets the decision ``post_report`` would give it, in
-        order; the accepted reports enter the OOSM through one
-        :meth:`submit_batch` posting.  Replies carry per-report results
-        aligned with the request order.
+        order; the admitted reports land through one
+        :meth:`submit_batch`.  Replies carry per-report results aligned
+        with the request order.
         """
         entries = payload.get("reports")
         if not isinstance(entries, list):
             self._m_refused.inc()
             return {"accepted": False, "error": "reports must be a list"}
         results: list[dict[str, Any]] = []
-        accept: list[FailurePredictionReport] = []
+        slots: list[int] = []
+        admitted: list[FailurePredictionReport] = []
+        ids: list[str | None] = []
         for entry in entries:
-            reply, report = self._admit(entry)
-            results.append(reply)
+            reply, report, rid = self._admit(entry)
             if report is not None:
-                accept.append(report)
-        if accept:
-            self.submit_batch(accept)
+                slots.append(len(results))
+                admitted.append(report)
+                ids.append(rid)
+            results.append(reply)
+        written = set(self.submit_batch(admitted, ids) if admitted else ())
+        for k, slot in enumerate(slots):
+            if k not in written:
+                results[slot] = {"accepted": True, "duplicate": True}
         return {
             "accepted": True,
             "results": results,
-            "accepted_count": len(accept),
+            "accepted_count": len(written),
         }
 
     # -- queries -------------------------------------------------------------
@@ -233,11 +231,11 @@ class PdmeExecutive:
         return prioritize(self.engine, now=now, temporal=self.temporal)
 
     def report_count(self) -> int:
-        """Reports retained in the OOSM."""
-        return self.model.report_count
+        """Reports stored in the partition log."""
+        return self.router.report_count
 
     def fused_model(self, as_of: float | None = None) -> dict:
-        """The complete fused model as a JSON-ready dict — the
-        single-executive form of the sharded router's merged snapshot
-        (see :meth:`repro.pdme.shard.ShardedPdme.fused_snapshot`)."""
-        return self.engine.fused_snapshot(as_of=as_of)
+        """The complete fused model as a JSON-ready dict, at the
+        router's ``as_of`` unless given (see
+        :meth:`repro.pdme.shard.ShardedPdme.fused_snapshot`)."""
+        return self.router.fused_snapshot(as_of)

@@ -32,7 +32,7 @@ def register_icas_interface(pdme: PdmeExecutive, endpoint: RpcEndpoint) -> None:
     * ``icas.get_condition``  {machine_id} → fused group states
     * ``icas.get_priorities`` {limit?} → the maintenance list
     * ``icas.get_health``     {entity_id} → multi-level health rollup
-    * ``icas.get_reports``    {machine_id, limit?} → retained §7 reports
+    * ``icas.get_reports``    {machine_id, limit?} → stored §7 reports
     """
 
     def get_condition(payload: dict[str, Any]) -> dict[str, Any]:
@@ -91,7 +91,7 @@ def register_icas_interface(pdme: PdmeExecutive, endpoint: RpcEndpoint) -> None:
 
         machine_id = str(payload["machine_id"])
         limit = int(payload.get("limit", 50))
-        reports = pdme.model.reports_for(machine_id)[-limit:]
+        reports = pdme.router.reports_for(machine_id)[-limit:]
         return {"reports": [encode_report(r) for r in reports]}
 
     endpoint.register("icas.get_condition", get_condition)

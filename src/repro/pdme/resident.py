@@ -9,7 +9,7 @@ instance, might use only the OOSM) ... Currently, our Phase 1 system
 does not place any diagnostic/prognostic algorithms in the PDME."
 
 This is the Phase-2 realization: an analyzer that consumes *only* the
-OOSM (structure + retained reports + fused state) and emits secondary
+OOSM (structure + fused state) and emits secondary
 §7 reports no single DC could produce:
 
 * **root-cause promotion** — when flow reasoning traces a downstream

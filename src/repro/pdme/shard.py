@@ -28,15 +28,21 @@ Pieces:
 * :class:`ShardedPdme` — the router.  Splits batched intake by shard,
   stamps each report with a global ``intake_seq`` so partitions merge
   back into the original arrival order, tracks the global ``as_of``,
-  merges fused state deterministically, and rebalances to a new
-  partition layout without dropping or duplicating reports.
+  merges fused state deterministically, reads one object's history
+  from its owning partition, and rebalances to a new partition layout
+  without dropping or duplicating reports.  Built with the
+  :class:`~repro.oosm.model.ShipModel` it serves, it announces every
+  report it wrote on the model's bus once the write is fused and
+  published (§4.5, §5.1 step 2).
 * :func:`parallel_shard_ingest` — the multi-process executor timed by
   the ``shard_scaling`` gate (``benchmarks/gates.py``): one OS process
   per shard, fused fragments merged in the parent.  ``n_shards=1`` is
   the in-process oracle.
 
-The router is the one sharded path: ``mpros serve``, the gateway, the
-gates and the e2e workloads all fuse through :class:`ShardedPdme`.
+The router is the one PDME store: the DC uplink's
+:class:`~repro.pdme.executive.PdmeExecutive` admits reports into a
+one-shard router, and ``mpros serve``, the gateway, the gates and the
+e2e workloads all fuse through :class:`ShardedPdme`.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 from pathlib import Path
-from typing import Callable, Collection, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 from repro.common.errors import MprosError
 from repro.common.ids import ObjectId
@@ -55,10 +61,14 @@ from repro.fusion.groups import (
     default_chiller_groups,
     default_turbine_groups,
 )
+from repro.obs.registry import MetricsRegistry
 from repro.oosm.persistence import ReportStore
 from repro.protocol.canonical import canonical_dumps
 from repro.protocol.prognostic import PrognosticVector
 from repro.protocol.report import FailurePredictionReport
+
+if TYPE_CHECKING:
+    from repro.oosm.model import ShipModel
 
 #: Ring points per shard.  More vnodes = smoother key balance and a
 #: remigrated fraction closer to the ideal 1/(N+1); 64 keeps layout
@@ -178,10 +188,12 @@ class ShardWorker:
         shard_id: int,
         registry_factory: Callable[[], GroupRegistry],
         store_path: str | Path = ":memory:",
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.shard_id = shard_id
         self._registry_factory = registry_factory
         self._store_path = str(store_path)
+        self._metrics = metrics
         self.crashed = False
         self.duplicates_dropped = 0
         self.store = ReportStore(self._store_path)
@@ -189,7 +201,7 @@ class ShardWorker:
         self._replay_log()
 
     def _fresh_engine(self) -> KnowledgeFusionEngine:
-        return KnowledgeFusionEngine(self._registry_factory())
+        return KnowledgeFusionEngine(self._registry_factory(), metrics=self._metrics)
 
     def _replay_log(self) -> int:
         """Rebuild fused state from the partition log, intake order."""
@@ -209,11 +221,13 @@ class ShardWorker:
         reports: Sequence[FailurePredictionReport],
         report_ids: Sequence[str | None] | None = None,
         intake_seqs: Sequence[int] | None = None,
-    ) -> int:
+        on_fused: Callable[[FailurePredictionReport], None] | None = None,
+    ) -> list[int]:
         """Persist then fuse a batch; duplicates are dropped exactly once.
 
         The store decides which reports are duplicates, against its
-        durable id index, and writes the rest; exactly those are fused.
+        durable id index, and writes the rest; exactly those are fused,
+        and their positions in ``reports`` are returned, ascending.
         A crashed-and-retried batch (at-least-once delivery) therefore
         re-fuses nothing: the persisted ids survive the crash and the
         replayed copies are absorbed.
@@ -222,8 +236,8 @@ class ShardWorker:
         written = self.store.ingest_batch(reports, report_ids, intake_seqs)
         self.duplicates_dropped += len(reports) - len(written)
         if written:
-            self.engine.ingest_batch([reports[i] for i in written])
-        return len(written)
+            self.engine.ingest_batch([reports[i] for i in written], on_fused)
+        return written
 
     def fused_snapshot(
         self, as_of: float, objects: Collection[ObjectId] | None = None
@@ -284,6 +298,11 @@ class ShardedPdme:
     router also tracks the global ``as_of`` (max accepted timestamp):
     fused snapshots are always evaluated there, never at a shard-local
     maximum, which is what makes the merged model independent of N.
+
+    With a ``model``, the router stores only reports about its objects
+    and announces each report it wrote on its bus once the batch is
+    fused and published; without one it announces nothing.  The shard
+    engines count fusion work in ``metrics``.
     """
 
     def __init__(
@@ -292,6 +311,8 @@ class ShardedPdme:
         registry_factory: Callable[[], GroupRegistry] = default_chiller_groups,
         store_paths: Sequence[str | Path] | None = None,
         vnodes: int = DEFAULT_VNODES,
+        model: ShipModel | None = None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         if store_paths is not None and len(store_paths) != n_shards:
             raise MprosError(
@@ -299,9 +320,12 @@ class ShardedPdme:
             )
         self.layout = ShardLayout(n_shards, vnodes)
         self._registry_factory = registry_factory
+        self._model = model
+        self._metrics = metrics
         paths = list(store_paths) if store_paths is not None else [":memory:"] * n_shards
         self.workers = [
-            ShardWorker(i, registry_factory, paths[i]) for i in range(n_shards)
+            ShardWorker(i, registry_factory, paths[i], metrics)
+            for i in range(n_shards)
         ]
         self._next_seq = 0
         self._as_of = 0.0
@@ -349,74 +373,92 @@ class ShardedPdme:
         return sum(w.duplicates_dropped for w in self.workers)
 
     # -- intake -----------------------------------------------------------
-    def submit(
-        self, report: FailurePredictionReport, report_id: str | None = None
-    ) -> int:
-        """Route one report; returns 1 if written, 0 if duplicate."""
-        return self.submit_batch([report], [report_id])
-
     def submit_batch(
         self,
         reports: Sequence[FailurePredictionReport],
         report_ids: Sequence[str | None] | None = None,
     ) -> int:
+        """Route a batch; returns the number of reports actually written
+        (see :meth:`write_batch`)."""
+        return len(self.write_batch(reports, report_ids))
+
+    def write_batch(
+        self,
+        reports: Sequence[FailurePredictionReport],
+        report_ids: Sequence[str | None] | None = None,
+        on_fused: Callable[[FailurePredictionReport], None] | None = None,
+    ) -> list[int]:
         """Split a batch by shard and land per-shard coalesced batches.
 
-        Returns the number of reports actually written (duplicates by
-        report id are absorbed at their owning shard, exactly once).
-        A report id that is neither a string nor ``None`` is refused
-        before anything is stamped, routed or written.
+        Returns the positions in ``reports`` of the reports written,
+        ascending; duplicates by report id are absorbed at their owning
+        shard, exactly once.  ``on_fused`` sees each written report
+        right after it fused.  A report id that is neither a string nor
+        ``None``, or (with a model) a report about an object it does not
+        hold, is refused before anything is stamped, routed or written.
+        Shards land their parts in order and stop at the first failure,
+        which is raised; ``as_of``, the watermark and the announcement
+        cover only the parts that landed.
         """
         ids = list(report_ids) if report_ids is not None else [None] * len(reports)
         if len(ids) != len(reports):
             raise MprosError(
                 f"got {len(reports)} reports but {len(ids)} report ids"
             )
+        model = self._model
         per: list[tuple[list, list, list]] = [
             ([], [], []) for _ in range(self.n_shards)
         ]
-        seq = self._next_seq
-        as_of = self._as_of
+        latest = [self._as_of] * self.n_shards
+        # A report's stamp is the first one free plus its batch position.
+        first = seq = self._next_seq
         for report, rid in zip(reports, ids):
             # Exact type first: a plain str id costs one test.
             if type(rid) is not str and rid is not None and not isinstance(rid, str):
                 raise MprosError(
-                    f"the report id at batch position {seq - self._next_seq} "
+                    f"the report id at batch position {seq - first} "
                     f"is a {type(rid).__name__}, not a string or None"
                 )
-            if report.timestamp > as_of:
-                as_of = report.timestamp
-            rs, rids, seqs = per[self.layout.shard_of(report.sensed_object_id)]
+            if model is not None:
+                model.check_sensed(report)
+            shard = self.layout.shard_of(report.sensed_object_id)
+            if report.timestamp > latest[shard]:
+                latest[shard] = report.timestamp
+            rs, rids, seqs = per[shard]
             rs.append(report)
             rids.append(rid)
             seqs.append(seq)
             seq += 1
-        written = 0
+        written: list[int] = []
+        as_of, next_seq = self._as_of, first
         try:
-            for worker, (rs, rids, seqs) in zip(self.workers, per):
+            for shard, (rs, rids, seqs) in enumerate(per):
                 if rs:
-                    written += worker.ingest_batch(rs, rids, seqs)
+                    landed = self.workers[shard].ingest_batch(rs, rids, seqs, on_fused)
+                    written.extend(seqs[i] - first for i in landed)
+                    as_of = max(as_of, latest[shard])
+                    next_seq = max(next_seq, seqs[-1] + 1)
         finally:
             # Published only after every shard has persisted and fused
             # its part (or failed): a reader that sees the new
             # watermark never reads the state from before the batch.
             self._as_of = as_of
-            self._next_seq = seq
+            self._next_seq = next_seq
+            written.sort()
+            # §5.1 step 2: the "new data" message for what was written.
+            if model is not None and len(written) == 1:
+                model.post_report(reports[written[0]])
+            elif model is not None and written:
+                model.post_reports([reports[i] for i in written])
         return written
 
     # -- queries ----------------------------------------------------------
-    def time_to_failure(
-        self, sensed_object_id: ObjectId, machine_condition_id: ObjectId,
-        probability: float = 0.5, now: float | None = None,
-    ) -> float:
-        """Per-object query routed to the owning shard, evaluated at
-        the *global* now by default."""
-        t = now if now is not None else self._as_of
+    def reports_for(self, sensed_object_id: ObjectId) -> list[FailurePredictionReport]:
+        """Every stored report about one object, arrival order, read from
+        its owning partition."""
         worker = self.workers[self.layout.shard_of(sensed_object_id)]
         worker._require_alive()
-        return worker.engine.time_to_failure(
-            sensed_object_id, machine_condition_id, probability, now=t
-        )
+        return worker.store.reports_for(sensed_object_id)
 
     def _workers_for(
         self, objects: Collection[ObjectId] | None
@@ -497,7 +539,7 @@ class ShardedPdme:
         rows.sort(key=lambda row: row[0] if row[0] is not None else -1)
         paths = list(store_paths) if store_paths is not None else [":memory:"] * n_shards
         new_workers = [
-            ShardWorker(i, self._registry_factory, paths[i])
+            ShardWorker(i, self._registry_factory, paths[i], self._metrics)
             for i in range(n_shards)
         ]
         per: list[tuple[list, list, list]] = [([], [], []) for _ in range(n_shards)]

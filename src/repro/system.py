@@ -1,10 +1,10 @@
 """Whole-system assembly — Figure 1 in one object.
 
-Builds the ship model, a PDME (OOSM + knowledge fusion) behind an RPC
-endpoint, and one Data Concentrator per chiller with the algorithm
+Builds the ship model, a PDME (report log + knowledge fusion) behind an
+RPC endpoint, and one Data Concentrator per chiller with the algorithm
 suites and standard test schedules, all on one discrete-event kernel.
-``run()`` advances simulated time; reports flow DC → network → PDME →
-OOSM → KF exactly as §5.1 describes.
+``run()`` advances simulated time; reports flow DC → network → PDME
+(log, fusion) → OOSM "new data" event, as §5.1 describes.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ if TYPE_CHECKING:
     from repro.plant.chiller import ChillerSimulator
     from repro.plant.faults import ActiveFault
     from repro.plant.turbine import TurbineSimulator
-    from repro.protocol.report import FailurePredictionReport
     from repro.supervisor.breaker import CircuitBreaker
     from repro.supervisor.heartbeat import (
         DcHealth,
@@ -86,9 +85,7 @@ class MprosSystem:
         """The Fig. 2 browser screen for one machine."""
         from repro.pdme.browser import render_machine_screen
 
-        return render_machine_screen(
-            self.model, self.pdme.engine, machine_id, now=self.kernel.now()
-        )
+        return render_machine_screen(self.pdme, machine_id, now=self.kernel.now())
 
     def priority_screen(self) -> str:
         """The ship-wide prioritized maintenance list."""
@@ -97,8 +94,8 @@ class MprosSystem:
         return render_priority_list(self.pdme.priorities(now=self.kernel.now()))
 
     def reports_received(self) -> int:
-        """Reports retained by the PDME's OOSM."""
-        return self.model.report_count
+        """Reports stored in the PDME's report log."""
+        return self.pdme.report_count()
 
     def uplink_backlog(self) -> int:
         """Reports queued DC-side awaiting PDME acknowledgement."""
@@ -385,25 +382,26 @@ def build_fleet_specs(
 
 def replay_fleet_to_model(
     specs: list[DcReplaySpec], n_workers: int = 1
-) -> tuple[ShipModel, list[FailurePredictionReport]]:
-    """Replay a fleet and post the merged stream into a fresh OOSM.
+) -> tuple[ShipModel, ShardedPdme]:
+    """Replay a fleet into a fresh OOSM and a one-shard PDME serving it.
 
     The PDME-side view of a fleet replay: every machine in the specs
     becomes a rotating-machine entity, and the deterministically merged
-    reports land in the model oldest-first, exactly as a live DC →
-    network → PDME run would deposit them.
+    reports are stored and fused oldest-first, exactly as a live DC →
+    network → PDME run would deposit them; each machine's history is
+    read back from the log (:meth:`ShardedPdme.reports_for`).
     """
     from repro.hpc.parallel import replay_fleet
     from repro.oosm.model import ShipModel
+    from repro.pdme.shard import ShardedPdme
 
     model = ShipModel()
     for spec in specs:
         for machine_id in spec.machine_ids():
             model.create("rotating-machine", id=machine_id, name=machine_id)
-    reports = replay_fleet(specs, n_workers=n_workers)
-    for r in reports:
-        model.post_report(r)
-    return model, reports
+    pdme = ShardedPdme(1, model=model)
+    pdme.submit_batch(replay_fleet(specs, n_workers=n_workers))
+    return model, pdme
 
 
 def build_sharded_pdme(
@@ -415,8 +413,8 @@ def build_sharded_pdme(
 
     With ``store_dir`` the partitions are file-backed (one sqlite file
     per shard — survives crash/restart drills); without it they live in
-    memory.  The single-executive :func:`build_mpros_system` path stays
-    the ablation/oracle the shard-invariance suite compares against.
+    memory.  The router is built without a model, so it announces
+    nothing: its caller reads fused state and the log directly.
     """
     from repro.pdme.shard import ShardedPdme, registry_for_plant
 

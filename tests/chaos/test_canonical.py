@@ -57,7 +57,7 @@ def test_degraded_reports_while_quarantined(drill):
     assert ("released", 0) in events
     # Degraded reports crossed the wire with the flag intact.
     flagged = [
-        r for r in system.model.reports_for(system.units[0].motor) if r.degraded
+        r for r in system.pdme.router.reports_for(system.units[0].motor) if r.degraded
     ]
     assert len(flagged) == report.degraded
     # Quarantine over: the DC went back to full-evidence reporting.

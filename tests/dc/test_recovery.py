@@ -182,7 +182,7 @@ def test_recover_after_shedding_keeps_only_the_survivors():
     # Exactly the four newest reports reach the OOSM — none of the six
     # shed ones resurrected.
     assert pdme.report_count() == 4
-    times = sorted(r.timestamp for r in pdme.model.all_reports())
+    times = sorted(r.timestamp for r in pdme.router.workers[0].store.all_reports())
     assert times == [6.0, 7.0, 8.0, 9.0]
     # queued counts original submissions plus the recovery reload.
     assert uplink.stats.queued == 10 + 4

@@ -103,7 +103,7 @@ def test_bounded_queue_sheds_oldest():
     uplink.flush()
     kernel.run()
     # The four newest survive.
-    times = sorted(r.timestamp for r in pdme.model.all_reports())
+    times = sorted(r.timestamp for r in pdme.router.workers[0].store.all_reports())
     assert times == [6.0, 7.0, 8.0, 9.0]
 
 
@@ -182,7 +182,7 @@ def test_shed_stale_sheds_only_old_settled_reports():
     uplink.flush(force=True)
     kernel.run()
     assert pdme.report_count() == 1
-    assert [r.timestamp for r in pdme.model.all_reports()] == [999.0]
+    assert [r.timestamp for r in pdme.router.workers[0].store.all_reports()] == [999.0]
 
 
 def test_shed_stale_skips_in_flight_reports_and_validates_cutoff():
@@ -215,7 +215,7 @@ def test_flush_batched_limit_takes_oldest_first():
     assert pdme.report_count() == 3
     # The bounded chunk drained the *oldest* reports; the rest stayed
     # queued untouched.
-    assert sorted(r.timestamp for r in pdme.model.all_reports()) == [0.0, 1.0, 2.0]
+    assert sorted(r.timestamp for r in pdme.router.workers[0].store.all_reports()) == [0.0, 1.0, 2.0]
     assert uplink.backlog == 3
     assert uplink.flush_batched(force=True, max_batch=8) == 3
     kernel.run()

@@ -170,7 +170,7 @@ def test_outage_sheds_oldest_first():
     uplink.flush()
     kernel.run()
     assert uplink.backlog == 0
-    delivered_times = sorted(r.timestamp for r in pdme.model.all_reports())
+    delivered_times = sorted(r.timestamp for r in pdme.router.workers[0].store.all_reports())
     assert delivered_times == [float(i) for i in range(92, 100)]
 
 

@@ -18,14 +18,17 @@ def workload():
 
 @pytest.fixture
 def fleet(tmp_path, workload):
-    """(model, pdme, reports, ids) with the full stream already fused."""
+    """(model, pdme, reports, ids) with the full stream already fused;
+    the router announces what it writes on the model's bus."""
     reports, ids = workload
-    pdme = ShardedPdme(
-        2, store_paths=[tmp_path / "shard-0.sqlite", tmp_path / "shard-1.sqlite"]
-    )
     model = ShipModel()
     for oid in sorted({r.sensed_object_id for r in reports}):
         model.create("rotating-machine", id=oid, name=oid)
+    pdme = ShardedPdme(
+        2,
+        store_paths=[tmp_path / "shard-0.sqlite", tmp_path / "shard-1.sqlite"],
+        model=model,
+    )
     pdme.submit_batch(reports, ids)
     yield model, pdme, reports, ids
     pdme.close()

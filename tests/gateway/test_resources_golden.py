@@ -42,11 +42,8 @@ def _check_golden(payload: str) -> None:
 
 
 def test_canonical_responses_are_pinned(fleet, gateway):
-    model, pdme, reports, _ = fleet
+    _, _, reports, _ = fleet
     first = sorted({r.sensed_object_id for r in reports})[0]
-    # The OOSM retains series for measurements; post a slice of the
-    # same stream (entity state only — fused state came via the PDME).
-    model.post_reports(reports[:12])
 
     doc = {
         "managedObject": json.loads(gateway.managed_object_json(first)),

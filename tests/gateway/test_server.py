@@ -47,9 +47,8 @@ def _get(base: str, path: str):
 
 def test_get_routes_round_trip(http_fleet):
     fleet, gateway, base = http_fleet
-    model, _, reports, _ = fleet
+    _, _, reports, _ = fleet
     first = sorted({r.sensed_object_id for r in reports})[0]
-    model.post_reports([r for r in reports if r.sensed_object_id == first][:4])
 
     status, health = _get(base, "/fleet/health")
     assert status == 200 and set(health) == {"as_of", "diagnostic", "prognostic"}
@@ -247,6 +246,22 @@ def test_bulk_post_writes_through_router(http_fleet):
     with pytest.raises(urllib.error.HTTPError) as err:
         urllib.request.urlopen(bad)
     assert err.value.code == 400
+
+    # The router serves the model's objects only: a report about any
+    # other object is the client's error, and nothing is written.
+    before = (pdme.report_count, pdme.intake_watermark)
+    ghost = json.dumps({"reports": [
+        encode_report(fresh.with_timestamp(88889.0)), {
+            **encode_report(fresh), "sensed_object_id": "obj:ghost",
+        },
+    ]}).encode()
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(
+            urllib.request.Request(base + "/reports", data=ghost, method="POST")
+        )
+    assert err.value.code == 400
+    assert "obj:ghost" in json.loads(err.value.read())["error"]
+    assert (pdme.report_count, pdme.intake_watermark) == before
 
 
 @pytest.mark.parametrize("report_ids", [

@@ -4,6 +4,7 @@ subscriptions, bulk writes, error paths."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -43,10 +44,9 @@ def test_managed_object_resource_fields(fleet, gateway):
 
 
 def test_measurements_page_over_retained_series(fleet, gateway):
-    model, _, reports, _ = fleet
+    _, _, reports, _ = fleet
     first = _first_object(reports)
     mine = [r for r in reports if r.sensed_object_id == first]
-    model.post_reports(mine)
     page = gateway.measurements(first, limit=10)
     assert [m.time for m in page.items] == [r.timestamp for r in mine[:10]]
     rest = gateway.measurements(
@@ -114,6 +114,32 @@ def test_batch_post_fans_out_to_subscribers(fleet, gateway):
     gateway.subscribe(got.append)
     model.post_reports(reports[:5])
     assert len(got) == 5
+
+
+def test_posted_report_reaches_measurements_and_subscriptions(fleet, gateway):
+    """A report POSTed through the router is stored, read back in its
+    object's measurement series, and pushed to the object's and the
+    firehose subscriptions, once."""
+    _, _, reports, _ = fleet
+    first = _first_object(reports)
+    other = next(r for r in reports if r.sensed_object_id != first)
+    mine: list = []
+    everything: list = []
+    gateway.subscribe(mine.append, object_id=first)
+    gateway.subscribe(everything.append)
+    before = len(gateway.measurements(first, limit=1000).items)
+    assert before == sum(r.sensed_object_id == first for r in reports)
+    fresh = replace(reports[0], sensed_object_id=first, timestamp=99999.0, belief=0.9)
+    moved = replace(other, timestamp=99999.0)
+    assert gateway.post_reports([fresh, moved], ["gw#1", "gw#2"]) == 2
+    assert mine == [fresh]
+    assert everything == [fresh, moved]
+    series = gateway.measurements(first, limit=1000).items
+    assert len(series) == before + 1
+    assert (series[-1].time, series[-1].belief) == (99999.0, 0.9)
+    # A replayed id is absorbed: nothing stored, nothing pushed.
+    assert gateway.post_reports([fresh], ["gw#1"]) == 0
+    assert len(everything) == 2
 
 
 def test_post_reports_routes_through_writer_with_dedup(fleet, gateway):
@@ -249,9 +275,9 @@ def test_kept_curve_text_follows_a_reset_pair(workload):
             ),
         )
 
-    pdme.submit(single(100.0, (0.1, 0.2, 0.3)))
+    pdme.submit_batch([single(100.0, (0.1, 0.2, 0.3))])
     assert gw.fleet_health_json() == canonical_dumps(pdme.fused_snapshot())
     engine.prognostic.reset("obj:m0", "mc:oil-contamination")
-    pdme.submit(single(160.0, (0.4, 0.5, 0.6)))
+    pdme.submit_batch([single(160.0, (0.4, 0.5, 0.6))])
     assert gw.fleet_health_json() == canonical_dumps(pdme.fused_snapshot())
     assert '"curve"' in gw.fleet_health_json() and "0.5" in gw.fleet_health_json()

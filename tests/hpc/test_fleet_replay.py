@@ -68,12 +68,16 @@ def test_replay_validation_errors():
 def test_replay_fleet_to_model_posts_all_reports(small_fleet_specs):
     from repro.system import replay_fleet_to_model
 
-    model, reports = replay_fleet_to_model(small_fleet_specs)
+    model, pdme = replay_fleet_to_model(small_fleet_specs)
+    reports = replay_fleet(small_fleet_specs)
     assert reports, "fleet scenario produced no reports"
-    assert model.report_count == len(reports)
+    assert pdme.report_count == len(reports)
     for spec in small_fleet_specs:
         for machine_id in spec.machine_ids():
             assert machine_id in model
+            assert pdme.reports_for(machine_id) == [
+                r for r in reports if r.sensed_object_id == machine_id
+            ]
 
 
 # -- regression gate script ------------------------------------------------

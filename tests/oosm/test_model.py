@@ -219,17 +219,19 @@ def test_create_delete_events(model):
     assert deleted == [EntityDeleted(e.id, "pump")]
 
 
-# -- report repository ----------------------------------------------------------
+# -- report announcements --------------------------------------------------------
 
 def test_post_report_stores_and_notifies(model):
+    """Posting announces the report and retains nothing: the PDME's
+    report log is the repository."""
     e = model.create("induction-motor")
     seen = []
     model.bus.subscribe(ReportPosted, seen.append)
     r = make_report(e.id)
+    v = model.version
     model.post_report(r)
-    assert model.report_count == 1
-    assert model.reports_for(e.id) == [r]
-    assert seen[0].report is r
+    assert [event.report for event in seen] == [r]
+    assert model.version == v
 
 
 def test_post_report_unknown_object_rejected(model):
@@ -238,25 +240,15 @@ def test_post_report_unknown_object_rejected(model):
 
 
 def test_reports_for_filters_by_object(model):
+    """Per-object history is read from the PDME's log, which the model's
+    announcements follow."""
+    from repro.pdme.shard import ShardedPdme
+
     a, b = model.create("pump"), model.create("pump")
-    model.post_report(make_report(a.id))
-    model.post_report(make_report(b.id))
-    assert len(model.reports_for(a.id)) == 1
-    assert len(model.all_reports()) == 2
-
-
-def test_materialized_reports_become_entities():
-    """§4.2: failure-prediction reports as first-class OOSM objects."""
-    model = ShipModel(materialize_reports=True)
-    machine = model.create("induction-motor", name="M1")
-    model.post_report(make_report(machine.id))
-    reports = list(model.entities(type_name="failure-prediction-report"))
-    assert len(reports) == 1
-    entity = reports[0]
-    assert entity.get("machine_condition_id") == "mc:motor-imbalance"
-    # The refers-to edge points at the sensed object.
-    assert model.related(entity.id, "refers-to") == {machine.id}
-    assert model.related_in(machine.id, "refers-to") == {entity.id}
+    pdme = ShardedPdme(1, model=model)
+    pdme.submit_batch([make_report(a.id), make_report(b.id)])
+    assert pdme.reports_for(a.id) == [make_report(a.id)]
+    assert pdme.report_count == 2
 
 
 def test_materialization_off_by_default():
@@ -264,3 +256,4 @@ def test_materialization_off_by_default():
     machine = model.create("induction-motor")
     model.post_report(make_report(machine.id))
     assert list(model.entities(type_name="failure-prediction-report")) == []
+

@@ -13,7 +13,6 @@ from repro.oosm import (
     to_graph,
 )
 from repro.oosm.query import flow_path, upstream_of
-from repro.protocol import FailurePredictionReport
 
 
 @pytest.fixture
@@ -86,16 +85,6 @@ def test_to_graph_node_and_edge_counts(ship):
 def test_save_load_roundtrip(tmp_path, ship):
     model, ship_entity, units = ship
     u = units[0]
-    model.post_report(
-        FailurePredictionReport(
-            knowledge_source_id="ks:dli",
-            sensed_object_id=u.motor,
-            machine_condition_id="mc:motor-imbalance",
-            severity=0.4,
-            belief=0.7,
-            timestamp=5.0,
-        )
-    )
     path = tmp_path / "oosm.sqlite"
     save_model(model, path)
     loaded = load_model(path)
@@ -104,8 +93,6 @@ def test_save_load_roundtrip(tmp_path, ship):
     assert loaded.get(u.motor).get("shaft_rpm") == model.get(u.motor).get("shaft_rpm")
     assert loaded.related(u.motor, "part-of") == {u.chiller}
     assert loaded.related(u.motor, "proximate-to") == model.related(u.motor, "proximate-to")
-    assert loaded.report_count == 1
-    assert loaded.reports_for(u.motor)[0].machine_condition_id == "mc:motor-imbalance"
 
 
 def test_save_load_preserves_types(tmp_path):

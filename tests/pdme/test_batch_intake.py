@@ -67,7 +67,7 @@ def test_batch_rpc_mixed_results_align_with_request_order():
     assert r[2]["accepted"] is False and "ghost" in r[2]["error"]
     assert r[3]["accepted"] is False
     assert r[4] == {"accepted": True}
-    assert model.report_count == 2
+    assert pdme.report_count() == 2
     assert pdme.duplicates_dropped == 1
 
 
@@ -88,7 +88,7 @@ def test_batch_rpc_refuses_only_the_non_numeric_entry(field, bad):
     assert r[0] == {"accepted": True}
     assert r[1]["accepted"] is False and "malformed" in r[1]["error"]
     assert r[2] == {"accepted": True}
-    assert model.report_count == 2
+    assert pdme.report_count() == 2
 
 
 def test_batch_rpc_dedups_against_earlier_singles():
@@ -102,7 +102,7 @@ def test_batch_rpc_dedups_against_earlier_singles():
     })
     assert reply["results"][0] == {"accepted": True, "duplicate": True}
     assert reply["results"][1] == {"accepted": True}
-    assert model.report_count == 2
+    assert pdme.report_count() == 2
 
 
 def test_batch_rpc_fingerprint_dedup_for_idless_senders():
@@ -111,7 +111,7 @@ def test_batch_rpc_fingerprint_dedup_for_idless_senders():
     reply = pdme._rpc_post_report_batch({"reports": [same, dict(same)]})
     assert reply["results"][0] == {"accepted": True}
     assert reply["results"][1] == {"accepted": True, "duplicate": True}
-    assert model.report_count == 1
+    assert pdme.report_count() == 1
 
 
 def test_batch_rpc_rejects_non_list():
@@ -134,7 +134,7 @@ def test_batch_equals_singles_fused_state():
     sb = pdme_b.engine.diagnostic.state(unit_b.motor, "rotating-mechanical")
     for c in sa.beliefs:
         assert sa.beliefs[c] == pytest.approx(sb.beliefs[c], abs=1e-12)
-    assert model_a.report_count == model_b.report_count == 6
+    assert pdme_a.report_count() == pdme_b.report_count() == 6
 
 
 # -- one post_report per entry == one post_report_batch ---------------------
@@ -195,7 +195,6 @@ def _intake_state(pdme, unit):
             tracker = pdme.temporal.tracker(obj, cond)
             episodes[(obj, cond)] = (tracker.episodes, tracker.active)
     return (
-        list(pdme.intake_errors),
         pdme.duplicates_dropped,
         {k: v for k, v in counters.items() if k.startswith("pdme.")},
         canonical_dumps(pdme.fused_model()),

@@ -37,7 +37,8 @@ def report(obj, cond="mc:motor-imbalance", belief=0.6, sev=0.5, t=10.0,
 def test_submit_posts_to_oosm_and_fuses():
     model, pdme, unit = make_pdme()
     pdme.submit(report(unit.motor))
-    assert model.report_count == 1
+    assert pdme.report_count() == 1
+    assert pdme.router.reports_for(unit.motor) == [report(unit.motor)]
     assert pdme.metrics.counter("pdme.conclusions").value == 1
     state = pdme.engine.diagnostic.state(unit.motor, "rotating-mechanical")
     assert state.beliefs["mc:motor-imbalance"] == pytest.approx(0.6)
@@ -88,7 +89,7 @@ def test_malformed_wire_report_rejected_not_fatal():
     dc_ep.call("pdme", "post_report", {"garbage": True}, on_reply=acks.append)
     kernel.run()
     assert acks[0]["accepted"] is False
-    assert pdme.intake_errors
+    assert acks[0]["error"]
     assert pdme.report_count() == 0
 
 
@@ -146,7 +147,7 @@ def test_browser_screen_mirrors_fig2():
     pdme.submit(report(motor, "mc:motor-rotor-bar", 0.5, ks="ks:dli"))
     pdme.submit(report(motor, "mc:oil-contamination", 0.45, ks="ks:fuzzy"))
 
-    screen = render_machine_screen(model, pdme.engine, motor, now=10.0)
+    screen = render_machine_screen(pdme, motor, now=10.0)
     assert "A/C Compressor Motor 1" in screen
     assert "6 report(s) from 4 knowledge source(s)" in screen
     assert "mc:motor-imbalance" in screen
@@ -159,7 +160,7 @@ def test_browser_screen_mirrors_fig2():
 
 def test_browser_empty_machine():
     model, pdme, unit = make_pdme()
-    screen = render_machine_screen(model, pdme.engine, unit.motor)
+    screen = render_machine_screen(pdme, unit.motor)
     assert "(none)" in screen
     assert "(no fused state)" in screen
 
@@ -230,8 +231,8 @@ def test_browser_labels_conflicting_and_reinforcing():
     motor = unit.motor
     pdme.submit(report(motor, "mc:motor-imbalance", 0.8, ks="ks:dli"))
     pdme.submit(report(motor, "mc:motor-imbalance", 0.8, ks="ks:wnn"))
-    screen = render_machine_screen(model, pdme.engine, motor, now=20.0)
+    screen = render_machine_screen(pdme, motor, now=20.0)
     assert "reinforcing" in screen
     pdme.submit(report(motor, "mc:shaft-misalignment", 0.8, ks="ks:fuzzy"))
-    screen = render_machine_screen(model, pdme.engine, motor, now=20.0)
+    screen = render_machine_screen(pdme, motor, now=20.0)
     assert "conflicting (K=" in screen

@@ -54,7 +54,7 @@ def test_render_priority_list_empty():
 
 def test_browser_screen_no_reports_no_state():
     model, pdme, units = make_pdme()
-    text = render_machine_screen(model, pdme.engine, units[0].motor)
+    text = render_machine_screen(pdme, units[0].motor)
     assert "(none)" in text
     assert "(no fused state)" in text
 
@@ -87,7 +87,7 @@ def test_stale_report_skipped_by_temporal_view_not_fusion():
     pdme.submit(report(motor, belief=0.7, t=50.0, ks="ks:wnn"))
     # Fusion accepts both reports ...
     assert pdme.metrics.counter("pdme.conclusions").value == 2
-    assert model.report_count == 2
+    assert pdme.report_count() == 2
     # ... the temporal tracker only advanced on the in-order one ...
     tracker = pdme.temporal.tracker(motor, "mc:motor-imbalance")
     assert tracker._last_time == 100.0
@@ -105,7 +105,7 @@ def test_browser_screen_after_stale_report_lists_both():
     motor = units[0].motor
     pdme.submit(report(motor, belief=0.7, t=100.0))
     pdme.submit(report(motor, belief=0.5, t=50.0, ks="ks:wnn"))
-    text = render_machine_screen(model, pdme.engine, motor, now=100.0)
-    # Both retained reports are shown, newest-seen state is fused.
+    text = render_machine_screen(pdme, motor, now=100.0)
+    # Both stored reports are shown, newest-seen state is fused.
     assert "2 report(s) from 2 knowledge source(s)" in text
     assert "mc:motor-imbalance" in text

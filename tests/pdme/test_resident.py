@@ -91,8 +91,8 @@ def test_scheduled_scan_feeds_back_into_fusion(world):
     for u in units:
         pdme.submit(rep(u.motor, "mc:condenser-fouling", 0.8))
     kernel.run_until(700.0)
-    # The resident conclusion was posted, retained and fused.
-    ship_reports = model.reports_for(ship.id)
+    # The resident conclusion was posted, stored and fused.
+    ship_reports = pdme.router.reports_for(ship.id)
     assert any(
         r.machine_condition_id == "mc:cooling-water-supply-fouling"
         for r in ship_reports

@@ -193,3 +193,48 @@ def test_router_refuses_a_non_string_id_before_publishing_anything(
     # The router still takes the same batch with valid ids.
     assert pdme.submit_batch(batch, ids[10:14]) == 4
     pdme.close()
+
+
+def test_a_batch_no_shard_lands_moves_no_clock(tmp_path, workload):
+    """A batch every shard refuses publishes nothing: ``as_of``, the
+    watermark and the model announcement stay where they were.  When
+    only some shards land their part, only those parts move them."""
+    from repro.oosm.events import ReportPosted
+    from repro.oosm.model import ShipModel
+
+    reports, ids = workload
+    model = ShipModel()
+    for oid in sorted({r.sensed_object_id for r in reports}):
+        model.create("rotating-machine", id=oid, name=oid)
+    posted = []
+    model.bus.subscribe(ReportPosted, lambda event: posted.append(event.report))
+    pdme = ShardedPdme(
+        2, store_paths=[tmp_path / f"shard-{i}.sqlite" for i in range(2)], model=model
+    )
+    pdme.submit_batch(reports[:10], ids[:10])
+    before = (pdme.as_of, pdme.intake_watermark, len(posted))
+    assert before[2] == 10
+    # Five reports owned by each shard.
+    picks = [*range(10, 15), *range(50, 55)]
+    batch, batch_ids = [reports[i] for i in picks], [ids[i] for i in picks]
+    assert max(r.timestamp for r in batch) > before[0]
+    for worker in pdme.workers:
+        worker.crash()
+    with pytest.raises(MprosError):
+        pdme.submit_batch(batch, batch_ids)
+    assert (pdme.as_of, pdme.intake_watermark, len(posted)) == before
+    # Shard 0 lands its part and shard 1 refuses: the clock and the
+    # announcement cover shard 0's part only.
+    pdme.workers[0].restart()
+    mine = [r for r in batch if pdme.layout.shard_of(r.sensed_object_id) == 0]
+    assert mine and len(mine) < len(batch)
+    with pytest.raises(MprosError):
+        pdme.submit_batch(batch, batch_ids)
+    assert pdme.as_of == max(before[0], *(r.timestamp for r in mine))
+    assert posted[10:] == mine
+    assert pdme.reports_for(mine[0].sensed_object_id)[-1] == [
+        r for r in mine if r.sensed_object_id == mine[0].sensed_object_id
+    ][-1]
+    pdme.workers[1].restart()
+    assert pdme.submit_batch(batch, batch_ids) == len(batch) - len(mine)
+    pdme.close()

@@ -128,7 +128,7 @@ def test_pdme_downloads_closer_look_machine():
         seeded(FaultKind.REFRIGERANT_LEAK, onset=system.kernel.now(), severity=0.35),
     )
     system.run(hours=1.0)
-    reports = system.model.reports_for(system.units[0].motor)
+    reports = system.pdme.router.reports_for(system.units[0].motor)
     closer = [r for r in reports if "closer-look" in r.explanation]
     assert closer, "downloaded machine never fired"
     assert closer[0].severity == pytest.approx(0.35)

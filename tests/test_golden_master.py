@@ -59,7 +59,7 @@ def test_quickstart_scenario_reports_are_pinned():
         ),
     )
     system.run(hours=1.5)
-    reports = system.model.all_reports()
+    reports = system.pdme.router.workers[0].store.all_reports()
     assert reports, "quickstart scenario produced no reports"
     _check_golden("quickstart.json", canonical_json(reports))
 

@@ -30,7 +30,7 @@ def test_fault_flows_dc_to_pdme_to_browser():
 
     # Reports crossed the network and landed in the OOSM.
     assert system.reports_received() > 0
-    reports = system.model.reports_for(motor)
+    reports = system.pdme.router.reports_for(motor)
     assert any(r.machine_condition_id == "mc:motor-imbalance" for r in reports)
     assert all(r.dc_id == "dc:0" for r in reports)
 
@@ -47,7 +47,39 @@ def test_fault_flows_dc_to_pdme_to_browser():
 
     # The healthy second chiller accumulated nothing.
     other = system.units[1].motor
-    assert system.model.reports_for(other) == []
+    assert system.pdme.router.reports_for(other) == []
+
+
+def test_gateway_over_the_executive_router_serves_the_fused_model():
+    """The DC uplink stores and fuses through the router the gateway
+    serves: its fleet document is the executive's fused model, and
+    each DC report was announced on the model's bus exactly once,
+    after it fused."""
+    from repro.gateway.service import FleetGateway
+    from repro.oosm.events import ReportPosted
+    from repro.protocol.canonical import canonical_dumps
+
+    system = build_mpros_system(n_chillers=2, seed=0)
+    motor = system.units[0].motor
+    system.inject_fault(motor, seeded(FaultKind.MOTOR_IMBALANCE, onset=0.0, severity=0.9))
+    announced = []
+    system.model.bus.subscribe(
+        ReportPosted,
+        lambda event: announced.append(
+            (event.report, system.pdme.engine.stats.ingested)
+        ),
+    )
+    system.run(hours=1.0)
+    gateway = FleetGateway(system.model, system.pdme.router)
+    assert gateway.fleet_health_json() == canonical_dumps(system.pdme.fused_model())
+    assert len(announced) == system.reports_received() > 0
+    assert [r for r, _ in announced if r.sensed_object_id == motor] == (
+        system.pdme.router.reports_for(motor)
+    )
+    # Each announcement came after its report (and every earlier one)
+    # was fused.
+    assert [seen for _, seen in announced] == list(range(1, len(announced) + 1))
+    assert system.model.bus.delivery_errors == []
 
 
 def test_process_fault_detected_by_nonvibration_suites():
@@ -55,9 +87,9 @@ def test_process_fault_detected_by_nonvibration_suites():
     motor = system.units[0].motor
     system.inject_fault(motor, seeded(FaultKind.REFRIGERANT_LEAK, onset=600.0, severity=0.9))
     system.run(hours=1.5)
-    conditions = {r.machine_condition_id for r in system.model.reports_for(motor)}
+    conditions = {r.machine_condition_id for r in system.pdme.router.reports_for(motor)}
     assert "mc:refrigerant-leak" in conditions
-    sources = {r.knowledge_source_id for r in system.model.reports_for(motor)}
+    sources = {r.knowledge_source_id for r in system.pdme.router.reports_for(motor)}
     assert sources & {"ks:fuzzy", "ks:sbfr"}
 
 
@@ -66,7 +98,7 @@ def test_multiple_sources_reinforce_through_fusion():
     motor = system.units[0].motor
     system.inject_fault(motor, seeded(FaultKind.REFRIGERANT_LEAK, onset=0.0, severity=0.95))
     system.run(hours=2.0)
-    reports = system.model.reports_for(motor)
+    reports = system.pdme.router.reports_for(motor)
     sources = {r.knowledge_source_id for r in reports
                if r.machine_condition_id == "mc:refrigerant-leak"}
     assert len(sources) >= 2  # fuzzy and SBFR both called it
@@ -97,8 +129,8 @@ def test_determinism_across_identical_builds():
                        seeded(FaultKind.MOTOR_IMBALANCE, onset=0.0, severity=0.9))
         s.run(hours=1.0)
     assert a.reports_received() == b.reports_received()
-    ra = [r.summary() for r in a.model.all_reports()]
-    rb = [r.summary() for r in b.model.all_reports()]
+    ra = [r.summary() for r in a.pdme.router.workers[0].store.all_reports()]
+    rb = [r.summary() for r in b.pdme.router.workers[0].store.all_reports()]
     assert ra == rb
 
 
@@ -146,7 +178,7 @@ def test_emi_corrupted_link_never_corrupts_reports():
     system.inject_fault(motor, seeded(FaultKind.MOTOR_IMBALANCE, onset=0.0, severity=0.9))
     system.run(hours=1.5)
     assert system.network.stats()["corrupted"] > 0
-    received = system.model.reports_for(motor)
+    received = system.pdme.router.reports_for(motor)
     assert received
     # All fused reports are structurally sound and from the real DC.
     for r in received:
