@@ -34,6 +34,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -193,10 +194,11 @@ def gate_daemon() -> dict:
     ``plain`` runs the kernel straight to the horizon; ``daemon`` drives
     the identical system through :class:`StreamDaemon` ticks (watchdog
     sweep, backpressure evaluation, skip-empty stages every tick).  The
-    two runs must deliver the same report count to the PDME before the
-    timing is accepted — the loop must add supervision, not change the
-    data — and ``daemon_overhead_ratio`` (plain wall / daemon wall, ~1,
-    higher is cheaper) gates the loop's bookkeeping cost.
+    two runs must end with the same canonical fused model and the same
+    condition reports in every DC database before the timing is
+    accepted — the loop must add supervision, not change the data — and
+    ``daemon_overhead_ratio`` (plain wall / daemon wall, ~1, higher is
+    cheaper) gates the loop's bookkeeping cost.
 
     The recovery figure is *simulated* time and therefore exact on any
     host: a DC crash is scheduled mid-run, the watchdog must walk its
@@ -207,13 +209,16 @@ def gate_daemon() -> dict:
     """
     from repro.obs.registry import MetricsRegistry
     from repro.plant.faults import FaultKind, seeded
+    from repro.protocol.canonical import canonical_dumps
+    from repro.protocol.wire import report_text
     from repro.stream.daemon import DaemonConfig, StreamDaemon
     from repro.stream.drill import RECOVERY_CEILING
     from repro.system import build_mpros_system
 
     window = 900.0
     reps = 2
-    counts: dict[str, int] = {}
+    #: The last timed system of each run kind, compared after timing.
+    systems: dict[str, Any] = {}
 
     def fresh():
         system = build_mpros_system(n_chillers=2, seed=5, metrics=MetricsRegistry())
@@ -226,7 +231,7 @@ def gate_daemon() -> dict:
     def run_plain():
         system = fresh()
         system.kernel.run_until(window)
-        counts["plain"] = system.reports_received()
+        systems["plain"] = system
 
     # One untimed warmup so the first timed path does not eat the
     # process-wide one-time costs (imports, allocator, FFT plans) —
@@ -239,14 +244,28 @@ def gate_daemon() -> dict:
             system, DaemonConfig(tick_interval=60.0), metrics=system.metrics
         )
         daemon.run(int(window / 60.0))
-        counts["daemon"] = system.reports_received()
+        systems["daemon"] = system
+
+    def outputs(system) -> tuple[str, list[str]]:
+        """The fused model document and every stored DC report text."""
+        texts = sorted(
+            report_text(r)
+            for dc in system.dcs
+            for machine_id in dc.machines
+            for r in dc.database.reports_for(machine_id)
+        )
+        return canonical_dumps(system.pdme.fused_model()), texts
 
     plain_t = _timed(run_plain, reps)
     daemon_t = _timed(run_daemon, reps)
-    if counts["plain"] != counts["daemon"] or counts["plain"] < 1:
+    plain_doc, plain_reports = outputs(systems["plain"])
+    daemon_doc, daemon_reports = outputs(systems["daemon"])
+    if not plain_reports or (plain_doc, plain_reports) != (daemon_doc, daemon_reports):
         raise MprosError(
-            f"daemon ablation mismatch: plain delivered {counts['plain']} "
-            f"reports, daemon {counts['daemon']} (both must match, > 0)"
+            "daemon ablation mismatch: the plain and daemon runs must end "
+            f"with the same fused model ({len(plain_doc)} vs {len(daemon_doc)} "
+            f"bytes) and the same DC reports ({len(plain_reports)} vs "
+            f"{len(daemon_reports)}, more than 0)"
         )
 
     # Deterministic recovery measurement (simulated seconds, no wall
@@ -265,7 +284,7 @@ def gate_daemon() -> dict:
         )
     return {
         "window_s": window,
-        "reports_delivered": counts["daemon"],
+        "reports_delivered": systems["daemon"].reports_received(),
         "plain": {**plain_t, "sim_per_wall": window / plain_t["median_s"]},
         "daemon": {**daemon_t, "sim_per_wall": window / daemon_t["median_s"]},
         "overhead_ratio": plain_t["median_s"] / daemon_t["median_s"],

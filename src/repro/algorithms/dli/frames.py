@@ -150,7 +150,7 @@ class RuleFrame:
             score = 0.0
         else:
             score = (adjusted - self.threshold) / (self.full_scale - self.threshold)
-            score = float(np.clip(score, 0.0, 1.0))
+            score = min(max(score, 0.0), 1.0)
             # A fired rule always reports at least a sliver of severity.
             score = max(score, 0.05)
         return RuleResult(
@@ -176,7 +176,7 @@ def load_sensitizer(
         prv = process.get(indicator)
         if prv is None:
             return 1.0
-        load = float(np.clip(prv / 100.0, 0.0, 1.0))
+        load = min(max(float(prv) / 100.0, 0.0), 1.0)
         return 1.0 + gain * (1.0 - load)
 
     return sensitize

@@ -11,31 +11,93 @@ so the rules transfer across machines with different absolute levels.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.algorithms.dli.frames import RuleFrame, load_sensitizer
 from repro.dsp.batch import SpectralView
 from repro.dsp.envelope import envelope_spectrum
 from repro.dsp.features import kurtosis_excess
-from repro.dsp.fft import Spectrum, order_amplitudes, spectrum as _spectrum
+from repro.dsp.fft import Spectrum, spectrum as _spectrum, window_median
 from repro.plant.rotating import MachineKinematics
 
+#: Harmonic orders (1x..8x) the looseness raft reads.
+_ORDERS = np.arange(1, 9)
 
-def _full_spectrum(
-    wave: np.ndarray, fs: float, view: SpectralView | None = None
-) -> Spectrum:
-    """Full-length (maximum-resolution) spectrum for sideband rules.
 
-    With a view, the spectrum comes from the scan-wide cache — one FFT
-    per machine per scan instead of one per rule frame.
+@dataclass(frozen=True)
+class _Lines:
+    """Every line amplitude the standard rulebase reads from the full
+    and the averaged spectrum of one machine.
+
+    Measured with one :meth:`~repro.dsp.fft.Spectrum.amplitudes_at`
+    gather per spectrum; each value equals the rule's own
+    ``amplitude_at`` read bit for bit.  Full spectrum, ±2 bins unless
+    noted: ``one_x``, ``two_x``, ``half_x``, ``two_line`` and the
+    pole-pass sidebands ``pp_upper`` / ``pp_lower`` (±1 bin).  Averaged
+    spectrum, ±2 bins: ``orders`` (1x..8x) and, on geared machines, the
+    mesh lines.  ``twice`` is :func:`_twice_shaft_vs_twice_line`'s
+    (2x shaft, 2x line) attribution, which two frames read.
     """
-    if view is not None:
-        return view.full()
-    return _spectrum(wave, fs, window="hann")
+
+    one_x: float
+    two_x: float
+    half_x: float
+    two_line: float
+    pp_upper: float
+    pp_lower: float
+    twice: tuple[float, float]
+    orders: np.ndarray
+    mesh: float = 0.0
+    mesh_upper: float = 0.0
+    mesh_lower: float = 0.0
+    two_mesh: float = 0.0
+
+
+def _measure_lines(spec: Spectrum, hires: Spectrum, k: MachineKinematics) -> _Lines:
+    s = k.shaft_hz
+    pp = max(k.pole_pass_hz, 0.5)
+    one_x, two_x, half_x, two_line, pp_upper, pp_lower = hires.amplitudes_at(
+        (s, 2 * s, 0.5 * s, 2 * k.line_hz, s + pp, s - pp), (2, 2, 2, 2, 1, 1)
+    )
+    freqs = (_ORDERS * s).tolist()
+    if k.gear_teeth:
+        mesh = k.gear_mesh_hz
+        freqs += [mesh, mesh + s, mesh - s, 2 * mesh]
+    averaged = spec.amplitudes_at(freqs, 2.0)
+    return _Lines(
+        one_x, two_x, half_x, two_line, pp_upper, pp_lower,
+        _twice_shaft_vs_twice_line(hires, k, (two_x, two_line)),
+        np.array(averaged[: _ORDERS.size]), *averaged[_ORDERS.size :],
+    )
+
+
+def _lines(
+    spec: Spectrum,
+    wave: np.ndarray,
+    fs: float,
+    k: MachineKinematics,
+    view: SpectralView | None,
+) -> _Lines:
+    """The lines of one analysis, measured once and shared by its frames
+    through the view (the scan-wide cache's full spectrum: one FFT per
+    machine per scan).  The memo entry holds ``spec`` and ``k``, so
+    their ids stay theirs while it exists.  Without a view, each call
+    transforms ``wave`` itself."""
+    if view is None:
+        return _measure_lines(spec, _spectrum(wave, fs, window="hann"), k)
+    *_, lines = view.derived(
+        (_measure_lines, id(spec), id(k)),
+        lambda: (spec, k, _measure_lines(spec, view.full(), k)),
+    )
+    return lines
 
 
 def _twice_shaft_vs_twice_line(
-    hires: Spectrum, k: MachineKinematics
+    hires: Spectrum,
+    k: MachineKinematics,
+    separated: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
     """Attribute the 2x region to misalignment (2x shaft) vs electrical
     (2x line).
@@ -43,17 +105,18 @@ def _twice_shaft_vs_twice_line(
     On a near-synchronous motor the two tones sit ~1-2 Hz apart, inside
     each other's window leakage.  The local peak decides ownership: the
     loser only keeps amplitude measured away from the winner's
-    mainlobe.  Returns (amp at 2x shaft, amp at 2x line).
+    mainlobe.  Returns (amp at 2x shaft, amp at 2x line).  ``separated``
+    is the pair of plain ±2-bin reads at those lines, when the caller
+    has gathered them already.
     """
     f_mis = 2 * k.shaft_hz
     f_ph = 2 * k.line_hz
     res = hires.resolution
     if abs(f_mis - f_ph) > 6 * res:
         # Well separated: plain windowed measurements.
-        return (
-            hires.amplitude_at(f_mis, tolerance_bins=2),
-            hires.amplitude_at(f_ph, tolerance_bins=2),
-        )
+        if separated is None:
+            separated = tuple(hires.amplitudes_at((f_mis, f_ph), 2))
+        return separated
     lo = min(f_mis, f_ph) - 3 * res
     hi = max(f_mis, f_ph) + 3 * res
     # The bins in [lo, hi] of the sorted grid: a slice, not a mask over
@@ -100,9 +163,8 @@ def _imbalance_strength(
     rotor-bar pole-pass sidebands (±1-2 Hz off 1x) do not inflate the
     1x reading.
     """
-    hires = _full_spectrum(wave, fs, view)
-    a1 = hires.amplitude_at(k.shaft_hz, tolerance_bins=2)
-    a2 = hires.amplitude_at(2 * k.shaft_hz, tolerance_bins=2)
+    lines = _lines(spec, wave, fs, k, view)
+    a1, a2 = lines.one_x, lines.two_x
     excess = max(0.0, a1 - 2 * BASELINE_1X)
     if a1 / (a2 + 1e-9) < 2.0:
         excess *= 0.3
@@ -122,9 +184,9 @@ def _misalignment_strength(
     near-synchronous motor sits ~1.4 Hz from 2x line frequency, so a
     wide window would swallow the phase-imbalance signature.
     """
-    hires = _full_spectrum(wave, fs, view)
-    a1 = hires.amplitude_at(k.shaft_hz, tolerance_bins=2)
-    a2, _ = _twice_shaft_vs_twice_line(hires, k)
+    lines = _lines(spec, wave, fs, k, view)
+    a1 = lines.one_x
+    a2, _ = lines.twice
     excess = max(0.0, a2 - 2 * BASELINE_2X)
     if a2 / (a1 + 1e-9) < 0.8:
         excess *= 0.3
@@ -145,13 +207,26 @@ def _looseness_strength(
     rule, so the raft only counts when at least three orders are
     elevated together.
     """
-    o = order_amplitudes(spec, k.shaft_hz, max_order=8)
+    lines = _lines(spec, wave, fs, k, view)
+    o = lines.orders
     elevated = o[2:8] > 2.5 * BASELINE_3X
     raft = float(np.sum(np.maximum(0.0, o[2:8] - BASELINE_3X)))
     if int(elevated.sum()) < 3:
         raft *= 0.15
-    sub = _full_spectrum(wave, fs, view).amplitude_at(0.5 * k.shaft_hz, tolerance_bins=2)
-    return (raft + 3.0 * sub) / 0.35
+    return (raft + 3.0 * lines.half_x) / 0.35
+
+
+def _local_background(es: Spectrum, line_hz: float) -> float:
+    """Median envelope amplitude over [½, 2)× ``line_hz``, the line's own
+    ±5 bins excluded (plus 1e-12, so a ratio over it stays finite).
+
+    The band is a slice of the sorted grid, not a mask over all of it:
+    the same bins in the same order, so the same median.
+    """
+    i0 = int(np.searchsorted(es.freqs, 0.5 * line_hz, side="left"))
+    i1 = int(np.searchsorted(es.freqs, 2.0 * line_hz, side="left"))
+    off_line = es.amps[i0:i1][np.abs(es.freqs[i0:i1] - line_hz) > 5 * es.resolution]
+    return window_median(off_line) + 1e-12 if off_line.size else 1e-12
 
 
 def _bearing_strength(
@@ -175,36 +250,42 @@ def _bearing_strength(
     else:
         es = envelope_spectrum(wave, fs, band=(2000.0, hi))
     line = es.amplitude_at(bf.bpfo, tolerance_bins=3)
-    # Local background: same band as BPFO, excluding the line itself.
-    lo_f, hi_f = 0.5 * bf.bpfo, 2.0 * bf.bpfo
-    mask = (es.freqs >= lo_f) & (es.freqs < hi_f) & (np.abs(es.freqs - bf.bpfo) > 5 * es.resolution)
-    background = float(np.median(es.amps[mask])) + 1e-12 if mask.any() else 1e-12
-    ratio = line / background
+    ratio = line / _local_background(es, bf.bpfo)
     line_score = max(0.0, (ratio - 4.0)) / 30.0
-    kurt = max(0.0, kurtosis_excess(wave)) / 10.0
+    kurtosis = view.kurtosis() if view is not None else kurtosis_excess(wave)
+    kurt = max(0.0, kurtosis) / 10.0
     return line_score + float(kurt)
 
 
 def _gear_wear_strength(
-    spec: Spectrum, wave: np.ndarray, fs: float, k: MachineKinematics
+    spec: Spectrum,
+    wave: np.ndarray,
+    fs: float,
+    k: MachineKinematics,
+    view: SpectralView | None = None,
 ) -> float:
     """Gear-mesh amplitude plus shaft-rate sidebands."""
     if not k.gear_teeth:
         return 0.0
-    mesh = k.gear_mesh_hz
-    main = max(0.0, spec.amplitude_at(mesh) - 0.05)
-    sb = spec.amplitude_at(mesh + k.shaft_hz) + spec.amplitude_at(mesh - k.shaft_hz)
+    lines = _lines(spec, wave, fs, k, view)
+    main = max(0.0, lines.mesh - 0.05)
+    sb = lines.mesh_upper + lines.mesh_lower
     return (main + sb) / 0.35
 
 
 def _gear_misalignment_strength(
-    spec: Spectrum, wave: np.ndarray, fs: float, k: MachineKinematics
+    spec: Spectrum,
+    wave: np.ndarray,
+    fs: float,
+    k: MachineKinematics,
+    view: SpectralView | None = None,
 ) -> float:
     """Dominant 2x gear mesh."""
     if not k.gear_teeth:
         return 0.0
-    m2 = spec.amplitude_at(2 * k.gear_mesh_hz)
-    m1 = spec.amplitude_at(k.gear_mesh_hz) + 1e-9
+    lines = _lines(spec, wave, fs, k, view)
+    m2 = lines.two_mesh
+    m1 = lines.mesh + 1e-9
     excess = max(0.0, m2 - 0.04)
     if m2 / m1 < 1.0:
         excess *= 0.4
@@ -225,11 +306,8 @@ def _rotor_bar_strength(
     averaged one, and requires *both* sidebands (leakage from 1x is
     symmetric, but genuine rotor-bar sidebands are far stronger).
     """
-    hires = _full_spectrum(wave, fs, view)
-    pp = max(k.pole_pass_hz, 0.5)
-    upper = hires.amplitude_at(k.shaft_hz + pp, tolerance_bins=1)
-    lower = hires.amplitude_at(k.shaft_hz - pp, tolerance_bins=1)
-    a1 = hires.amplitude_at(k.shaft_hz, tolerance_bins=2)
+    lines = _lines(spec, wave, fs, k, view)
+    upper, lower, a1 = lines.pp_upper, lines.pp_lower, lines.one_x
     sb = 2.0 * min(upper, lower)
     # Genuine rotor-bar sidebands are large *relative to 1x*; window
     # leakage from a big imbalance peak is not.  Without credible
@@ -237,7 +315,7 @@ def _rotor_bar_strength(
     # alone is the phase-imbalance signature).
     if sb < 0.06 or sb < 0.3 * a1:
         return 0.0
-    line2 = hires.amplitude_at(2 * k.line_hz, tolerance_bins=2)
+    line2 = lines.two_line
     return (max(0.0, sb - 0.05) + 0.5 * max(0.0, line2 - 0.02)) / 0.35
 
 
@@ -250,12 +328,10 @@ def _phase_imbalance_strength(
 ) -> float:
     """Strong 2x line frequency, with rotor-bar sidebands absent and
     not explainable as 2x shaft (misalignment)."""
-    hires = _full_spectrum(wave, fs, view)
-    _, raw_line2 = _twice_shaft_vs_twice_line(hires, k)
+    lines = _lines(spec, wave, fs, k, view)
+    _, raw_line2 = lines.twice
     line2 = max(0.0, raw_line2 - 0.02)
-    pp = max(k.pole_pass_hz, 0.5)
-    upper = hires.amplitude_at(k.shaft_hz + pp, tolerance_bins=1)
-    lower = hires.amplitude_at(k.shaft_hz - pp, tolerance_bins=1)
+    upper, lower = lines.pp_upper, lines.pp_lower
     if 2.0 * min(upper, lower) > 0.08:  # sidebands: prefer rotor-bar
         line2 *= 0.3
     return line2 / 0.4

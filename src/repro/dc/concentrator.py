@@ -27,6 +27,7 @@ from repro.dc.acquisition import AcquisitionChain
 from repro.dc.database import DcDatabase
 from repro.dc.scheduler import EventScheduler
 from repro.dsp.batch import BatchSpectralCache
+from repro.dsp.plan import work_buffer
 from repro.hpc.pipeline import FeaturePipeline
 from repro.netsim.kernel import EventKernel
 from repro.obs.registry import MetricsRegistry, default_registry
@@ -282,15 +283,17 @@ class DataConcentrator:
         for pos, reports in enumerate(per_ctx):
             if degraded[pos]:
                 reports = [replace(r, degraded=True) for r in reports]
-            for r in reports:
-                self.database.store_report(r)
-                self.sink(r)
-                self.reports_sent += 1
-                self._m_reports.inc()
-                if r.degraded:
-                    self.reports_degraded += 1
-                    self._m_degraded.inc()
             out.extend(reports)
+        # The scan's conclusions land in the DC database before any
+        # leaves for the PDME.
+        self.database.store_reports(out)
+        for r in out:
+            self.sink(r)
+            self.reports_sent += 1
+            self._m_reports.inc()
+            if r.degraded:
+                self.reports_degraded += 1
+                self._m_degraded.inc()
         return out
 
     def run_vibration_tests(self, now: float, n_samples: int = 32768) -> int:
@@ -328,7 +331,12 @@ class DataConcentrator:
             )
             degraded.append(quarantined)
         if live:
-            waves = np.stack([wave for _, _, wave in live])
+            # Stacked into reused scratch, shared by every DC on this
+            # thread: it serves this test's reduction and dispatch only.
+            waves = np.stack(
+                [wave for _, _, wave in live],
+                out=work_buffer((len(live), n_samples), np.float64, "dc.blocks"),
+            )
             summary = self._pipeline_for(n_samples, len(live)).process(waves)
             measurements = []
             for row, (_, m, _) in enumerate(live):
@@ -341,7 +349,7 @@ class DataConcentrator:
             self.database.store_measurements(measurements)
             cache = BatchSpectralCache(waveforms=waves, sample_rate=sample_rate)
             for row, (pos, _, _) in enumerate(live):
-                ctxs[pos] = replace(ctxs[pos], spectra=cache.view(row))
+                ctxs[pos].spectra = cache.view(row)
         return len(self._dispatch(ctxs, degraded))
 
     def run_process_scan(self, now: float) -> int:

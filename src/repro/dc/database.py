@@ -217,16 +217,12 @@ class DcDatabase:
         return int(self._conn.execute("SELECT COUNT(*) FROM measurements").fetchone()[0])
 
     # -- condition reports -------------------------------------------------------
-    def store_report(self, report: FailurePredictionReport) -> None:
-        """Append one §7 condition report."""
+    def store_reports(self, reports: list[FailurePredictionReport]) -> None:
+        """Append §7 condition reports, in order, in one transaction."""
         with self._conn:
-            self._conn.execute(
+            self._conn.executemany(
                 "INSERT INTO condition_reports (time_s, machine_id, payload) VALUES (?, ?, ?)",
-                (
-                    report.timestamp,
-                    report.sensed_object_id,
-                    report_text(report),
-                ),
+                [(r.timestamp, r.sensed_object_id, report_text(r)) for r in reports],
             )
 
     def reports_for(self, machine_id: str) -> list[FailurePredictionReport]:

@@ -12,14 +12,19 @@ commands enqueue the same actions immediately.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.common.errors import SchedulingError
 from repro.netsim.kernel import EventKernel
-from repro.obs.registry import MetricsRegistry, default_registry
+from repro.obs.registry import Counter, Histogram, MetricsRegistry, default_registry
 
 TaskAction = Callable[[float], None]
+
+#: Task failures kept for inspection; older ones are dropped (the
+#: ``dc.scheduler.errors`` counter still counts every one).
+ERRORS_KEPT = 256
 
 
 @dataclass
@@ -50,7 +55,10 @@ class EventScheduler:
     ) -> None:
         self.kernel = kernel
         self._tasks: dict[str, PeriodicTask] = {}
-        self.errors: list[tuple[str, Exception]] = []
+        #: Per task: its runs and errors counters and interval histogram.
+        self._handles: dict[str, tuple[Counter, Counter, Histogram]] = {}
+        #: The newest :data:`ERRORS_KEPT` ``(task name, exception)`` pairs.
+        self.errors: deque[tuple[str, Exception]] = deque(maxlen=ERRORS_KEPT)
         self.metrics = metrics if metrics is not None else default_registry()
         self.owner = owner
         #: Optional durable cursor sink ``(name, runs, last_run)`` called
@@ -71,6 +79,12 @@ class EventScheduler:
             raise SchedulingError(f"task {name!r} already scheduled")
         task = PeriodicTask(name, period, action)
         self._tasks[name] = task
+        labels = self._labels(name)
+        self._handles[name] = (
+            self.metrics.counter("dc.scheduler.runs", **labels),
+            self.metrics.counter("dc.scheduler.errors", **labels),
+            self.metrics.histogram("dc.scheduler.interval_seconds", **labels),
+        )
         self.kernel.schedule(period, lambda: self._fire(task))
         return task
 
@@ -83,23 +97,21 @@ class EventScheduler:
 
     def _run(self, task: PeriodicTask) -> None:
         now = self.kernel.now()
-        labels = self._labels(task.name)
+        runs, errors, interval = self._handles[task.name]
         try:
             task.action(now)
         except Exception as exc:  # noqa: BLE001 - a bad test must not kill the DC
             self.errors.append((task.name, exc))
-            self.metrics.counter("dc.scheduler.errors", **labels).inc()
+            errors.inc()
         else:
             if not math.isnan(task.last_run):
                 # Dispatch cadence: the realized interval between runs;
                 # drift beyond the nominal period means the DC fell
                 # behind its test schedule.
-                self.metrics.histogram(
-                    "dc.scheduler.interval_seconds", **labels
-                ).observe(now - task.last_run)
+                interval.observe(now - task.last_run)
             task.runs += 1
             task.last_run = now
-            self.metrics.counter("dc.scheduler.runs", **labels).inc()
+            runs.inc()
             if self.cursor_store is not None:
                 self.cursor_store(task.name, task.runs, task.last_run)
 
@@ -153,6 +165,7 @@ class EventScheduler:
     def remove(self, name: str) -> None:
         """Unregister a task entirely."""
         self._tasks.pop(name, None)
+        self._handles.pop(name, None)
 
     def task(self, name: str) -> PeriodicTask:
         """Look up a task by name."""

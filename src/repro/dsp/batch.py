@@ -27,13 +27,19 @@ result on that row's waveform (the property tests in
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
+from typing import Any, TypeVar
 
 import numpy as np
 
 from repro.common.errors import MprosError
+from repro.dsp.features import kurtosis_excess
 from repro.dsp.fft import Spectrum, welch_segments
 from repro.dsp.plan import fast_fft_len, get_plan, work_buffer
+
+
+T = TypeVar("T")
 
 
 def _as_batch(signals: np.ndarray) -> np.ndarray:
@@ -119,7 +125,7 @@ def batch_averaged_spectrum(
     step = max(1, int(block * (1 - overlap)))
     segs = welch_segments(x, block, step, n_averages)  # (m, n_seg, block)
     plan = get_plan(block, window, sample_rate)
-    amps = plan.amplitudes(segs).mean(axis=1)
+    amps = plan.amplitudes(segs, scratch=True).mean(axis=1)
     return SpectrumBatch(freqs=plan.freqs, amps=amps, sample_rate=sample_rate)
 
 
@@ -179,14 +185,15 @@ def batch_envelope_spectrum(
         lo, hi = band
         if not 0 <= lo < hi:
             raise MprosError(f"need 0 <= lo < hi, got {band}")
-        freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-        keep = (freqs >= lo) & (freqs < hi)
-        idx = np.flatnonzero(keep)
-        if idx.size >= 8:
-            k0, k1 = int(idx[0]), int(idx[-1]) + 1
-            m = k1 - k0
-            # A view of scratch: read once, by ``spec * weights`` below.
-            full = work_buffer(x.shape[:-1] + (n // 2 + 1,), np.complex128)
+        # The bins in [lo, hi) of the sorted grid: a slice, not a mask.
+        freqs = get_plan(n, "hann", sample_rate).freqs
+        k0 = int(np.searchsorted(freqs, lo, side="left"))
+        k1 = int(np.searchsorted(freqs, hi, side="left"))
+        m = k1 - k0
+        if m >= 8:
+            rows = x.shape[0]
+            # A view of scratch, weighted in place below.
+            full = work_buffer((rows, n // 2 + 1), np.complex128)
             spec = np.fft.rfft(x, axis=-1, out=full)[:, k0:k1]
             # Analytic-signal weights: positive frequencies doubled, DC
             # and Nyquist (if inside the band) not.
@@ -195,15 +202,21 @@ def batch_envelope_spectrum(
                 weights[0] = 1.0
             if n % 2 == 0 and k1 == n // 2 + 1:
                 weights[-1] = 1.0
+            spec *= weights
             # ifft over the band alone yields the complex envelope at
             # the decimated rate; the frequency shift to baseband is a
-            # pure phase ramp and cancels in the magnitude.
-            analytic = np.fft.ifft(spec * weights, axis=-1) * (m / n)
-            env = np.abs(analytic)
-            env = env - env.mean(axis=-1, keepdims=True)
+            # pure phase ramp and cancels in the magnitude.  The
+            # envelope has its own scratch: the spectrum below takes
+            # the shared one.
+            analytic = np.fft.ifft(
+                spec, axis=-1, out=work_buffer((rows, m), np.complex128, "envelope")
+            )
+            analytic *= m / n
+            env = np.abs(analytic, out=work_buffer((rows, m), np.float64, "envelope"))
+            env -= env.mean(axis=-1, keepdims=True)
             return batch_spectrum(env, sample_rate * m / n, window="hann")
     env = batch_envelope(x, sample_rate, band)
-    env = env - env.mean(axis=-1, keepdims=True)
+    env -= env.mean(axis=-1, keepdims=True)
     return batch_spectrum(env, sample_rate, window="hann")
 
 
@@ -228,12 +241,7 @@ def batch_cepstrum(
 
 def batch_scalar_features(signals: np.ndarray) -> dict[str, np.ndarray]:
     """The per-row scalar bundle of :func:`repro.dsp.features.scalar_features`."""
-    from repro.dsp.features import (
-        crest_factor,
-        kurtosis_excess,
-        peak_amplitude,
-        rms,
-    )
+    from repro.dsp.features import crest_factor, peak_amplitude, rms
 
     x = _as_batch(signals)
     return {
@@ -266,6 +274,7 @@ class BatchSpectralCache:
     _env: dict[tuple[float, float] | None, SpectrumBatch] = field(
         default_factory=dict, repr=False
     )
+    _kurtosis: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.waveforms = _as_batch(self.waveforms)
@@ -307,6 +316,13 @@ class BatchSpectralCache:
             self._env[key] = batch
         return batch
 
+    def kurtosis(self) -> np.ndarray:
+        """Excess kurtosis of all rows, shape (m,), in one pass over the
+        stack; row ``i`` equals ``kurtosis_excess(waveforms[i])``."""
+        if self._kurtosis is None:
+            self._kurtosis = np.atleast_1d(kurtosis_excess(self.waveforms))
+        return self._kurtosis
+
     def view(self, row: int) -> "SpectralView":
         """A single row's facade over this cache."""
         if not 0 <= row < len(self):
@@ -322,10 +338,15 @@ class SpectralView:
     for ``full()`` / ``averaged()`` / ``envelope_spectrum(band)``
     returns this row's :class:`~repro.dsp.fft.Spectrum` while sharing
     the batched transform with every other machine in the scan.
+    :meth:`derived` memoizes what the readers of one analysis compute
+    from those spectra (the rule frames' line amplitudes, say).
     """
 
     cache: BatchSpectralCache
     row: int
+    _derived: dict[Hashable, Any] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @classmethod
     def from_waveform(cls, waveform: np.ndarray, sample_rate: float) -> "SpectralView":
@@ -354,3 +375,14 @@ class SpectralView:
         self, band: tuple[float, float] | None = None
     ) -> Spectrum:
         return self.cache.envelope_spectrum(band).row(self.row)
+
+    def kurtosis(self) -> float:
+        return float(self.cache.kurtosis()[self.row])
+
+    def derived(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """``compute()``, run once per ``key`` for this view."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = compute()
+            return value

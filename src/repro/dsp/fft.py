@@ -9,6 +9,7 @@ spectrum type carries enough metadata to index by order.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,32 +54,70 @@ class Spectrum:
         leakage), so rule evaluation searches a small neighbourhood —
         this mirrors how vibration expert systems pick peaks.
         """
-        if freq < 0 or freq > self.freqs[-1]:
-            return 0.0
+        return self.amplitudes_at((freq,), tolerance_bins)[0]
+
+    def amplitudes_at(
+        self, freqs: Iterable[float], tolerance_bins: float | Iterable[float] = 2.0
+    ) -> list[float]:
+        """:meth:`amplitude_at` for many lines, with one gather of bins.
+
+        A scalar tolerance applies to every line.  Bins are uniform, so
+        only a small index window around each line can match: each
+        line's window is read from the spectrum in one indexing call
+        for all lines, and plain-float work picks its peak, instead of a
+        mask over the whole spectrum per line (rule evaluation reads
+        dozens of lines per analysis).
+        """
+        freqs = freqs.tolist() if isinstance(freqs, np.ndarray) else [float(f) for f in freqs]
+        if np.ndim(tolerance_bins) == 0:
+            tols = [float(tolerance_bins)] * len(freqs)
+        else:
+            tols = [float(t) for t in tolerance_bins]
+        top = self.freqs[-1]
         res = self.resolution
-        half_width = tolerance_bins * res
-        if not np.isfinite(res) or res <= 0:
-            mask = np.abs(self.freqs - freq) <= half_width
-            if not mask.any():
-                return 0.0
-            return float(self.amps[mask].max())
-        # Bins are uniform, so only a small index window can match —
-        # O(tolerance) plain-float work instead of a mask over the whole
-        # spectrum (rule evaluation makes dozens of these lookups per
-        # analysis).
-        lo = max(math.floor((freq - half_width) / res) - 1, 0)
-        hi = min(math.ceil((freq + half_width) / res) + 2, self.freqs.size)
-        if hi <= lo:
-            return 0.0
-        hits = [
-            a
-            for f, a in zip(self.freqs[lo:hi].tolist(), self.amps[lo:hi].tolist())
-            if abs(f - freq) <= half_width
-        ]
-        if not hits:
-            return 0.0
-        # NaN propagates, as numpy's max would.
-        return math.nan if any(map(math.isnan, hits)) else max(hits)
+        if not (math.isfinite(res) and res > 0):
+            # Fewer than two bins: no grid to index, so mask.
+            out = []
+            for freq, tol in zip(freqs, tols):
+                mask = np.abs(self.freqs - freq) <= tol * res
+                in_range = 0 <= freq <= top and mask.any()
+                out.append(float(self.amps[mask].max()) if in_range else 0.0)
+            return out
+        size = self.freqs.size
+        windows: list[tuple[int, int, float, float] | None] = []
+        idx: list[int] = []
+        for freq, tol in zip(freqs, tols):
+            if freq < 0 or freq > top:
+                windows.append(None)
+                continue
+            half_width = tol * res
+            lo = max(math.floor((freq - half_width) / res) - 1, 0)
+            hi = min(math.ceil((freq + half_width) / res) + 2, size)
+            if hi <= lo:
+                windows.append(None)
+                continue
+            windows.append((len(idx), len(idx) + hi - lo, freq, half_width))
+            idx.extend(range(lo, hi))
+        bins = np.array(idx, dtype=np.intp)
+        bin_f = self.freqs.take(bins).tolist()
+        bin_a = self.amps.take(bins).tolist()
+        out = []
+        for window in windows:
+            if window is None:
+                out.append(0.0)
+                continue
+            i0, i1, freq, half_width = window
+            hits = [
+                a for f, a in zip(bin_f[i0:i1], bin_a[i0:i1]) if abs(f - freq) <= half_width
+            ]
+            # NaN propagates, as numpy's max would.
+            if not hits:
+                out.append(0.0)
+            elif any(map(math.isnan, hits)):
+                out.append(math.nan)
+            else:
+                out.append(max(hits))
+        return out
 
     def band_amplitude(self, lo: float, hi: float) -> float:
         """RSS amplitude over the [lo, hi) Hz band."""
@@ -166,33 +205,57 @@ def estimate_shaft_speed(
     if not 0 < search_pct < 50:
         raise MprosError(f"search_pct must be in (0, 50), got {search_pct}")
     half = nominal_hz * search_pct / 100.0
-    mask = (spec.freqs >= nominal_hz - half) & (spec.freqs <= nominal_hz + half)
-    idx = np.flatnonzero(mask)
-    if idx.size < 3:
+    # The bins in [nominal - half, nominal + half] of the sorted grid: a
+    # slice, not a mask over the whole spectrum.
+    i0 = int(np.searchsorted(spec.freqs, nominal_hz - half, side="left"))
+    i1 = int(np.searchsorted(spec.freqs, nominal_hz + half, side="right"))
+    if i1 - i0 < 3:
         return float(nominal_hz)
-    window = spec.amps[idx]
-    floor = 3.0 * float(np.median(window))
+    floor = 3.0 * window_median(spec.amps[i0:i1])
+    # The window is a few dozen bins: plain floats from here on.
+    window = spec.amps[i0:i1].tolist()
+    freqs = spec.freqs[i0:i1].tolist()
     # Candidate peaks: local maxima standing clear of the window floor
     # (edge bins compare one-sided, so a peak at the window boundary —
     # the drift-at-the-limit case — still counts).
-    padded = np.concatenate(([-np.inf], window, [-np.inf]))
-    is_peak = (window >= padded[:-2]) & (window >= padded[2:])
-    candidates = idx[is_peak & (window > floor)]
-    if candidates.size == 0:
+    padded = [-math.inf, *window, -math.inf]
+    candidates = [
+        i
+        for i, a in enumerate(window)
+        if a >= padded[i] and a >= padded[i + 2] and a > floor
+    ]
+    if not candidates:
         return float(nominal_hz)  # no distinct peak: hold nominal
     # Of the prominent peaks, 1x is the one nearest nameplate speed —
     # rotor-bar sidebands can out-amplitude a healthy 1x, but they sit
     # symmetrically further out.
-    peak = int(candidates[np.argmin(np.abs(spec.freqs[candidates] - nominal_hz))])
+    peak = i0 + min(candidates, key=lambda i: abs(freqs[i] - nominal_hz))
     if 0 < peak < spec.freqs.size - 1:
         # Parabolic (quadratic) peak interpolation.
-        a, b, c = spec.amps[peak - 1], spec.amps[peak], spec.amps[peak + 1]
+        a, b, c = spec.amps[peak - 1 : peak + 2].tolist()
         denom = a - 2 * b + c
         delta = 0.5 * (a - c) / denom if abs(denom) > 1e-18 else 0.0
-        delta = float(np.clip(delta, -0.5, 0.5))
+        delta = min(max(delta, -0.5), 0.5)
     else:
         delta = 0.0
     return float(spec.freqs[peak] + delta * spec.resolution)
+
+
+def window_median(values: np.ndarray) -> float:
+    """``float(np.median(values))`` of a 1-D float array, from one
+    partition call: the same middle element(s), the same two-element
+    mean, NaN when any value is NaN.  np.median's own wrapper costs
+    several times the selection on windows of a few hundred bins."""
+    n = values.size
+    if n == 0:
+        return math.nan
+    k = n // 2
+    part = np.partition(values, [k - 1, k, n - 1] if n % 2 == 0 else [k, n - 1])
+    if math.isnan(part[-1]):
+        return math.nan
+    if n % 2:
+        return float(part[k])
+    return float(np.add.reduce(part[k - 1 : k + 1]) / 2)
 
 
 def order_amplitudes(
@@ -208,4 +271,4 @@ def order_amplitudes(
     if shaft_hz <= 0:
         raise MprosError(f"shaft_hz must be positive, got {shaft_hz}")
     orders = np.arange(1, max_order + 1) * shaft_hz
-    return np.array([spec.amplitude_at(f, tolerance_bins) for f in orders])
+    return np.array(spec.amplitudes_at(orders, tolerance_bins))

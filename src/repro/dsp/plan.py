@@ -15,6 +15,14 @@ The windowed input and the complex spectrum of each transform are
 scratch: they go into per-thread work buffers reused across calls, since
 a fresh multi-MB array costs about as much in page faults as the FFT
 itself.  Only the returned amplitudes are freshly allocated.
+
+The scratch pocketfft allocates inside every transform is out of reach
+of any ``out=`` buffer: glibc serves a block of 128 KiB or more with a
+fresh ``mmap`` (or trims it off the heap top once freed), so each
+transform faults its scratch in again.  The first plan therefore raises
+glibc's mmap and trim thresholds once for the process
+(:func:`_pin_heap`), and freed blocks stay in the heap for the next
+call.  Elsewhere it does nothing.
 """
 
 from __future__ import annotations
@@ -40,13 +48,54 @@ _MAX_WORK_BYTES = 16 << 20
 
 _WORK = threading.local()
 
+#: glibc ``mallopt`` parameter numbers (``malloc.h``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+#: Blocks below this come from the heap: 32 MiB is glibc's ceiling for
+#: the threshold on 64-bit hosts and above any block a DC scan frees.
+_HEAP_MMAP_THRESHOLD = 32 << 20
+#: Free space the heap keeps at its top before returning it.
+_HEAP_TRIM_THRESHOLD = 64 << 20
 
-def work_buffer(shape: tuple[int, ...], dtype: type) -> np.ndarray:
+_heap_pinned = False
+
+
+def _pin_heap() -> None:
+    """Keep freed transform scratch in the heap, once per process.
+
+    By default glibc maps each block of 128 KiB or more afresh and
+    unmaps it on free, raising that threshold only as such blocks are
+    freed, and trims free memory off the heap top beyond twice it.  A
+    32768-point transform then faults in its ~400 KB of internal
+    scratch on every call.  Fixed thresholds keep those pages mapped
+    and reused; the heap does not grow with them, because the freed
+    blocks are what the next transform takes.  A no-op where the C
+    library has no ``mallopt``.
+    """
+    global _heap_pinned
+    if _heap_pinned:
+        return
+    _heap_pinned = True
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_THRESHOLD)
+
+
+def work_buffer(shape: tuple[int, ...], dtype: type, slot: str = "") -> np.ndarray:
     """A C-contiguous scratch array of ``shape``, reused by this thread.
 
-    There is one buffer per dtype per thread; the next request for the
-    same dtype overwrites it, so callers consume the contents before
-    asking again and never return the buffer itself.
+    There is one buffer per ``(dtype, slot)`` per thread; the next
+    request for the same pair overwrites it, so callers consume the
+    contents before asking again and never return the buffer itself.
+    A stage that must hold one scratch array while another fills takes
+    its own ``slot``.
     """
     size = math.prod(shape)
     dt = np.dtype(dtype)
@@ -55,9 +104,10 @@ def work_buffer(shape: tuple[int, ...], dtype: type) -> np.ndarray:
     buffers = getattr(_WORK, "buffers", None)
     if buffers is None:
         buffers = _WORK.buffers = {}
-    flat = buffers.get(dt)
+    key = (dt, slot)
+    flat = buffers.get(key)
     if flat is None or flat.size < size:
-        flat = buffers[dt] = np.empty(size, dt)
+        flat = buffers[key] = np.empty(size, dt)
     return flat[:size].reshape(shape)
 
 
@@ -91,18 +141,23 @@ class FftPlan:
     freqs: np.ndarray
     amp_scale: float
 
-    def amplitudes(self, blocks: np.ndarray) -> np.ndarray:
+    def amplitudes(self, blocks: np.ndarray, scratch: bool = False) -> np.ndarray:
         """Window-corrected single-sided amplitudes of ``(..., n)`` blocks.
 
         The same math as :func:`repro.dsp.fft.spectrum` applied along
         the last axis: a pure sine of amplitude A shows a peak of ≈A.
-        ``blocks`` may be any strided view; the result is a fresh array.
+        ``blocks`` may be any strided view.  The result is a fresh
+        array, or with ``scratch`` this thread's float64 work buffer,
+        which the caller reduces before the next transform.
         """
         windowed = work_buffer(blocks.shape, np.float64)
         np.multiply(blocks, self.window, out=windowed)
-        spec = work_buffer(blocks.shape[:-1] + (self.n // 2 + 1,), np.complex128)
+        shape = blocks.shape[:-1] + (self.n // 2 + 1,)
+        spec = work_buffer(shape, np.complex128)
         np.fft.rfft(windowed, axis=-1, out=spec)
-        amps = np.abs(spec)
+        # The windowed input is consumed, so its buffer can take the
+        # magnitudes.
+        amps = np.abs(spec, out=work_buffer(shape, np.float64) if scratch else None)
         amps *= self.amp_scale
         amps[..., 0] /= 2.0  # DC is not doubled
         return amps
@@ -143,6 +198,7 @@ def get_plan(n: int, window: str = "hann", sample_rate: float = 1.0) -> FftPlan:
     plan = _PLANS.get(key)
     if plan is not None:
         return plan
+    _pin_heap()
     if window == "hann":
         w = np.hanning(n)
     elif window == "rect":

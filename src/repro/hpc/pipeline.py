@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import MprosError
+from repro.dsp.plan import work_buffer
 from repro.obs.registry import MetricsRegistry, default_registry
 
 
@@ -53,8 +54,8 @@ class FeaturePipeline:
         self.n_channels = n_channels
         self.block_samples = block_samples
         self.sample_rate = sample_rate
-        # Pre-allocated work and output buffers.
-        self._sq = np.empty((n_channels, block_samples))
+        # Pre-allocated output buffers; the block-sized scratch is the
+        # thread's reused DSP work buffer (see ``process``).
         self._rms = np.empty(n_channels)
         self._peak = np.empty(n_channels)
         self._crest = np.empty(n_channels)
@@ -74,11 +75,12 @@ class FeaturePipeline:
             raise MprosError(
                 f"block must be ({self.n_channels}, {self.block_samples}), got {block.shape}"
             )
-        np.square(block, out=self._sq)
-        np.mean(self._sq, axis=1, out=self._rms)
+        sq = work_buffer(block.shape, np.float64, "pipeline")
+        np.square(block, out=sq)
+        np.mean(sq, axis=1, out=self._rms)
         np.sqrt(self._rms, out=self._rms)
-        np.abs(block, out=self._sq)
-        np.max(self._sq, axis=1, out=self._peak)
+        np.abs(block, out=sq)
+        np.max(sq, axis=1, out=self._peak)
         np.divide(
             self._peak,
             np.where(self._rms > 0, self._rms, 1.0),

@@ -32,6 +32,7 @@ from typing import Iterator
 from repro.common.clock import Clock
 from repro.obs.registry import (
     DEFAULT_TIME_EDGES,
+    Histogram,
     MetricsRegistry,
     default_registry,
 )
@@ -91,6 +92,8 @@ class Tracer:
         self.clock = clock
         self._metrics = metrics if metrics is not None else default_registry()
         self.finished: deque[Span] = deque(maxlen=max_spans)
+        #: ``trace.<name>.seconds`` per span name, looked up once.
+        self._histograms: dict[str, Histogram] = {}
         self._stack: list[Span] = []
         self._next_id = 0
         self.started = 0
@@ -121,9 +124,12 @@ class Tracer:
             self._stack.pop()
             record.end = self.clock.now()
             self.finished.append(record)
-            self._metrics.histogram(
-                f"trace.{name}.seconds", DEFAULT_TIME_EDGES
-            ).observe(record.duration)
+            histogram = self._histograms.get(name)
+            if histogram is None:
+                histogram = self._histograms[name] = self._metrics.histogram(
+                    f"trace.{name}.seconds", DEFAULT_TIME_EDGES
+                )
+            histogram.observe(record.duration)
 
     def snapshot(self) -> list[dict]:
         """Finished spans, oldest first, JSON-ready and deterministic."""

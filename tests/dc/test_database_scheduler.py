@@ -5,7 +5,9 @@ import pytest
 
 from repro.common.errors import MprosError, SchedulingError
 from repro.dc import DcDatabase, EventScheduler
+from repro.dc.scheduler import ERRORS_KEPT
 from repro.netsim import EventKernel
+from repro.obs.registry import MetricsRegistry
 from repro.protocol import FailurePredictionReport, PrognosticVector
 from repro.protocol.wire import encode_report
 
@@ -69,8 +71,7 @@ def test_bulk_measurements():
 def test_reports_roundtrip():
     db = DcDatabase()
     r = make_report()
-    db.store_report(r)
-    db.store_report(make_report(machine="m2"))
+    db.store_reports([r, make_report(machine="m2")])
     assert db.report_count() == 2
     got = db.reports_for("m1")
     assert got == [r]
@@ -217,3 +218,22 @@ def test_failing_task_is_isolated():
     assert good_times == [10.0, 20.0]
     assert len(sched.errors) == 2
     assert sched.task("bad").runs == 0
+
+
+def test_error_list_keeps_the_newest_and_the_counter_counts_all():
+    kernel = EventKernel()
+    registry = MetricsRegistry()
+    sched = EventScheduler(kernel, metrics=registry, owner="dc:0")
+    failures = 2 * ERRORS_KEPT
+
+    def bad(t):
+        raise RuntimeError(f"failure at {t:g}")
+
+    sched.add_periodic("bad", 1.0, bad)
+    kernel.run_until(float(failures))
+    assert len(sched.errors) == ERRORS_KEPT
+    assert [str(exc) for _, exc in sched.errors] == [
+        f"failure at {t:g}" for t in range(ERRORS_KEPT + 1, failures + 1)
+    ]
+    counters = registry.snapshot()["counters"]
+    assert counters["dc.scheduler.errors{owner=dc:0,task=bad}"] == failures

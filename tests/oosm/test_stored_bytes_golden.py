@@ -134,8 +134,7 @@ def test_partition_log_payloads_match_golden(tmp_path):
 
 def test_dc_database_condition_report_payloads_match_golden():
     db = DcDatabase()
-    for _, report in stream():
-        db.store_report(report)
+    db.store_reports([report for _, report in stream()])
     payloads = [
         payload
         for (payload,) in db._conn.execute(
